@@ -254,33 +254,7 @@ class JointEstimator:
         if self.sanitize:
             frames = np.stack([sanitize_csi(f) for f in frames])
         x = smooth_csi_batch(frames, self.smoothing)
-        e_signal, e_noise, _ = subspaces(
-            covariance(x), self.music, num_snapshots=x.shape[1]
-        )
-        grids = default_steering_cache().grids_for(self._sub_model, self.music)
-        aoa_grid, tof_grid = grids.aoa_grid_deg, grids.tof_grid_s
-        if e_signal.shape[1] <= e_noise.shape[1]:
-            spectrum = music_spectrum_from_signal(
-                e_signal, self._sub_model, aoa_grid, tof_grid,
-                phi=grids.phi, omega=grids.omega,
-            )
-        else:
-            spectrum = music_spectrum(
-                e_noise, self._sub_model, aoa_grid, tof_grid,
-                phi=grids.phi, omega=grids.omega,
-            )
-        peaks = find_peaks_2d(
-            spectrum,
-            aoa_grid,
-            tof_grid,
-            max_peaks=self.max_peaks * 2,
-            min_rel_height_db=self.min_rel_height_db,
-        )
-        peaks = merge_close_peaks(peaks)[: self.max_peaks]
-        return [
-            PathEstimate(aoa_deg=p.aoa_deg, tof_s=p.tof_s, power=p.power)
-            for p in peaks
-        ]
+        return self.stage_peaks(*self.stage_music(x))
 
     # ------------------------------------------------------------------
     # Construction helpers

@@ -12,15 +12,18 @@ are smaller than a threshold"); an MDL-based model-order estimate is also
 provided for ablations.
 
 The steering vector factorizes as a Kronecker product (see
-:mod:`repro.core.steering`), so the spectrum over a full (theta, tau) grid
-is three einsums instead of a per-point loop — this makes whole-testbed
-benchmarks tractable.
+:mod:`repro.core.steering`), so the spectrum denominator
+``a^H E E^H a`` splits over the M x M blocks of the projector ``E E^H``:
+one small matmul per packet forms ``omega^H P_mm' omega`` for every ToF,
+and one real GEMM against ``conj(phi_m) phi_m'`` covers the whole
+(theta, tau) grid.  Grid-sized work is A * T * M^2, independent of the
+subspace rank.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -192,6 +195,55 @@ def noise_subspace(
     return e_noise, num_signals
 
 
+def _projected_energy(
+    basis: np.ndarray,
+    model: SteeringModel,
+    aoa_grid_deg: np.ndarray,
+    tof_grid_s: np.ndarray,
+    phi: Optional[np.ndarray],
+    omega: Optional[np.ndarray],
+) -> np.ndarray:
+    """``|E^H a(theta, tau)|^2 / |a|^2`` over the grid, in projector form.
+
+    ``sum_k |e_k^H a|^2 = a^H P a`` with ``P = E E^H``.  Since
+    ``a = phi (x) omega``, splitting P into M x M blocks ``P_mm'`` of
+    N x N gives ``a^H P a = sum_mm' conj(phi_m) phi_m' q_mm'(tau)`` with
+    ``q_mm'(tau) = omega^H P_mm' omega``.  Grid-sized work is then one
+    real (A, 2M^2) x (2M^2, T) product, independent of the rank K.
+    Returns a fresh (A, T) float array.
+    """
+    basis = np.asarray(basis, dtype=np.complex128)
+    m, n = model.num_antennas, model.num_subcarriers
+    if basis.ndim != 2 or basis.shape[0] != m * n:
+        raise EstimationError(
+            f"subspace basis has shape {basis.shape} but the steering "
+            f"model describes {m}x{n}={m * n} sensors"
+        )
+    if phi is None:
+        phi = model.antenna_vector(np.asarray(aoa_grid_deg, dtype=float))  # (A, M)
+    if omega is None:
+        omega = model.subcarrier_vector(np.asarray(tof_grid_s, dtype=float))  # (T, N)
+    # Blocks laid out (N, M*M*N) so one matmul applies every P_mm' to
+    # conj(omega); the row-wise dot with omega finishes omega^H P_mm' omega.
+    blocks = (basis @ basis.conj().T).reshape(m, n, m, n).transpose(1, 0, 2, 3)
+    half = (omega.conj() @ blocks.reshape(n, m * m * n)).reshape(-1, m * m, n)
+    q = (half * omega[:, None, :]).sum(axis=2).T  # (M*M, T)
+    w = (phi.conj()[:, :, None] * phi[:, None, :]).reshape(-1, m * m)  # (A, M*M)
+    # a^H P a is real (P is Hermitian): Re(W Q) = Re W Re Q - Im W Im Q.
+    energy = np.concatenate((w.real, -w.imag), axis=1) @ np.concatenate((q.real, q.imag))
+    # The steering vector has norm sqrt(M*N); normalizing makes spectra
+    # comparable across configurations.
+    energy /= m * n
+    return energy
+
+
+def _pseudospectrum(denom: np.ndarray) -> np.ndarray:
+    """``1 / max(denom, 1e-18)``, in place on the fresh (A, T) array."""
+    np.maximum(denom, 1e-18, out=denom)
+    np.divide(1.0, denom, out=denom)
+    return denom
+
+
 @contract(
     e_noise="(MN,K)",
     phi="(A,M)",
@@ -228,32 +280,9 @@ def music_spectrum(
         Spectrum of shape (len(aoa_grid_deg), len(tof_grid_s)); larger is
         more likely a path.
     """
-    e_noise = np.asarray(e_noise, dtype=np.complex128)
-    m, n = model.num_antennas, model.num_subcarriers
-    if e_noise.shape[0] != m * n:
-        raise EstimationError(
-            f"noise subspace has {e_noise.shape[0]} sensors but the steering "
-            f"model describes {m}x{n}={m * n}"
-        )
-    aoa_grid_deg = np.asarray(aoa_grid_deg, dtype=float)
-    tof_grid_s = np.asarray(tof_grid_s, dtype=float)
-    if phi is None:
-        phi = model.antenna_vector(aoa_grid_deg)  # (A, M)
-    if omega is None:
-        omega = model.subcarrier_vector(tof_grid_s)  # (T, N)
-    # e_k^H a(theta, tau) = sum_{m,n} conj(E[m,n,k]) phi[m] omega[n]
-    e_grid = e_noise.conj().reshape(m, n, -1)  # (M, N, K)
-    partial = np.einsum("am,mnk->ank", phi, e_grid)  # (A, N, K)
-    proj = np.einsum("ank,tn->atk", partial, omega)  # (A, T, K)
-    denom = np.sum(np.abs(proj) ** 2, axis=2)  # (A, T)
-    # The steering vector has norm sqrt(M*N); normalizing makes spectra
-    # comparable across configurations.  The chain runs in place on the
-    # freshly reduced (A, T) array — identical values, no grid-sized
-    # temporaries on the per-packet path.
-    denom /= m * n
-    np.maximum(denom, 1e-18, out=denom)
-    np.divide(1.0, denom, out=denom)
-    return denom
+    return _pseudospectrum(
+        _projected_energy(e_noise, model, aoa_grid_deg, tof_grid_s, phi, omega)
+    )
 
 
 @contract(
@@ -274,33 +303,11 @@ def music_spectrum_from_signal(
 
     Identical to :func:`music_spectrum` via the complement identity
     ``|E_N^H a|^2 = |a|^2 - |E_S^H a|^2`` (E_S, E_N together form an
-    orthonormal basis).  Since the signal subspace has only ~L columns vs
-    the noise subspace's M*N - L, this is several times faster on the
-    30-sensor smoothed array; the estimator uses whichever basis is
-    smaller.  ``phi``/``omega`` behave as in :func:`music_spectrum`.
+    orthonormal basis).  The estimator uses whichever basis is smaller.
+    ``phi``/``omega`` behave as in :func:`music_spectrum`.
     """
-    e_signal = np.asarray(e_signal, dtype=np.complex128)
-    m, n = model.num_antennas, model.num_subcarriers
-    if e_signal.shape[0] != m * n:
-        raise EstimationError(
-            f"signal subspace has {e_signal.shape[0]} sensors but the steering "
-            f"model describes {m}x{n}={m * n}"
-        )
-    if phi is None:
-        phi = model.antenna_vector(np.asarray(aoa_grid_deg, dtype=float))  # (A, M)
-    if omega is None:
-        omega = model.subcarrier_vector(np.asarray(tof_grid_s, dtype=float))  # (T, N)
-    e_grid = e_signal.conj().reshape(m, n, -1)  # (M, N, K)
-    partial = np.einsum("am,mnk->ank", phi, e_grid)
-    proj = np.einsum("ank,tn->atk", partial, omega)
-    signal_energy = np.sum(np.abs(proj) ** 2, axis=2)  # |E_S^H a|^2
-    # |a|^2 = m*n for unit-modulus steering entries.  In place on the
-    # fresh (A, T) reduction, as in :func:`music_spectrum`.
-    signal_energy /= m * n
-    np.subtract(1.0, signal_energy, out=signal_energy)
-    np.maximum(signal_energy, 1e-18, out=signal_energy)
-    np.divide(1.0, signal_energy, out=signal_energy)
-    return signal_energy
+    energy = _projected_energy(e_signal, model, aoa_grid_deg, tof_grid_s, phi, omega)
+    return _pseudospectrum(np.subtract(1.0, energy, out=energy))
 
 
 @contract(e_noise="(MN,K)", aoa_deg="float", tof_s="float", returns="float")
@@ -308,7 +315,4 @@ def spectrum_value(
     e_noise: np.ndarray, model: SteeringModel, aoa_deg: float, tof_s: float
 ) -> float:
     """Pseudospectrum at a single (theta, tau) point."""
-    a = model.steering_vector(aoa_deg, tof_s)
-    proj = e_noise.conj().T @ a
-    denom = float(np.sum(np.abs(proj) ** 2)) / a.size
-    return 1.0 / max(denom, 1e-18)
+    return float(music_spectrum(e_noise, model, [aoa_deg], [tof_s])[0, 0])

@@ -13,7 +13,7 @@ Implements the paper's Eqs. 1, 2, 6 and 7:
 The joint vector factorizes as a Kronecker product
 ``a(theta, tau) = phi_vec(theta) (x) omega_vec(tau)``; the MUSIC spectrum
 evaluation exploits that factorization to evaluate whole (theta, tau)
-grids with three small matrix products instead of per-point loops.
+grids with a few small matrix products instead of per-point loops.
 """
 
 from __future__ import annotations

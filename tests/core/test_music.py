@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.music import (
     MusicConfig,
@@ -26,6 +28,42 @@ def model():
 @pytest.fixture()
 def sub_model(model):
     return model.subarray_model(2, 15)
+
+
+def einsum_energy(basis, model, aoa_grid, tof_grid):
+    """Test oracle: ``sum_k |e_k^H a|^2 / |a|^2`` by direct contraction.
+
+    The pre-projector kernel: an antenna then a subcarrier contraction per
+    basis vector, A * T * N * K multiply-adds on an (A, T, K) intermediate.
+    """
+    m, n = model.num_antennas, model.num_subcarriers
+    phi = model.antenna_vector(np.asarray(aoa_grid, dtype=float))
+    omega = model.subcarrier_vector(np.asarray(tof_grid, dtype=float))
+    e_grid = basis.conj().reshape(m, n, -1)
+    partial = np.einsum("am,mnk->ank", phi, e_grid)
+    proj = np.einsum("ank,tn->atk", partial, omega)
+    return np.sum(np.abs(proj) ** 2, axis=2) / (m * n)
+
+
+@st.composite
+def kernel_cases(draw):
+    """(model, orthonormal basis, rank K, aoa subset, tof subset)."""
+    m = draw(st.sampled_from([2, 3]))
+    n = draw(st.sampled_from([5, 15]))
+    rank = draw(st.integers(min_value=1, max_value=m * n - 1))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    q, _ = np.linalg.qr(
+        rng.normal(size=(m * n, m * n)) + 1j * rng.normal(size=(m * n, m * n))
+    )
+    config = MusicConfig()
+    aoas = draw(
+        st.lists(st.sampled_from(config.aoa_grid().tolist()), min_size=1, max_size=40, unique=True)
+    )
+    tofs = draw(
+        st.lists(st.sampled_from(config.tof_grid().tolist()), min_size=1, max_size=40, unique=True)
+    )
+    model = SteeringModel(m, n, 0.029, 5.19e9, 1.25e6)
+    return model, q, rank, np.asarray(aoas), np.asarray(tofs)
 
 
 def ideal_smoothed(model, aoas, tofs, gains):
@@ -155,6 +193,8 @@ class TestSpectrum:
                 np.arange(-90, 91, 10.0),
                 np.arange(0, 100e-9, 10e-9),
             )
+        with pytest.raises(EstimationError):
+            spectrum_value(np.ones((10, 2), dtype=complex), sub_model, 20.0, 40e-9)
 
     def test_spectrum_value_matches_grid(self, model, sub_model):
         x = ideal_smoothed(model, [20.0], [40e-9], [1.0])
@@ -164,3 +204,39 @@ class TestSpectrum:
         )[0, 0]
         point_val = spectrum_value(e_n, sub_model, 20.0, 40e-9)
         assert point_val == pytest.approx(grid_val, rel=1e-9)
+
+
+class TestProjectorKernel:
+    """The projector-form kernel against the direct contraction oracle."""
+
+    # Both forms reach ~1e-16 absolute error on these [0, 1] energies;
+    # atol keeps rtol meaningful where an energy itself nears rounding level.
+    RTOL, ATOL = 1e-9, 1e-12
+
+    @given(case=kernel_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_einsum_oracle(self, case):
+        model, q, rank, aoas, tofs = case
+        e_signal, e_noise = q[:, :rank], q[:, rank:]
+        noise = music_spectrum(e_noise, model, aoas, tofs)
+        np.testing.assert_allclose(
+            1.0 / noise,
+            einsum_energy(e_noise, model, aoas, tofs),
+            rtol=self.RTOL,
+            atol=self.ATOL,
+        )
+        # Precomputed steering (the estimator's cached path) on this side.
+        signal = music_spectrum_from_signal(
+            e_signal,
+            model,
+            aoas,
+            tofs,
+            phi=model.antenna_vector(aoas),
+            omega=model.subcarrier_vector(tofs),
+        )
+        np.testing.assert_allclose(
+            1.0 / signal,
+            1.0 - einsum_energy(e_signal, model, aoas, tofs),
+            rtol=self.RTOL,
+            atol=self.ATOL,
+        )

@@ -6,7 +6,8 @@ inputs rather than hand-picked examples:
 * Eq. 7 factorization: a(theta, tau) = phi (x) omega.
 * Fig. 4 smoothing: rank of the smoothed matrix == number of paths.
 * Algorithm 1: sanitized CSI is invariant to the packet's STO.
-* MUSIC: noise subspace orthogonal to true steering vectors.
+* MUSIC: noise subspace orthogonal to true steering vectors; the
+  signal/noise complement identity.
 * Quantization: bounded error, scale invariance.
 * Geometry: mirroring is an involution; wrap_deg stays in range.
 * CDF: monotone, quantile within sample range.
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.core.music import covariance, noise_subspace
+from repro.core.music import covariance, noise_subspace, subspaces
 from repro.core.sanitize import sanitize_csi
 from repro.core.smoothing import PAPER_CONFIG, smooth_csi
 from repro.core.steering import SteeringModel
@@ -117,6 +118,25 @@ class TestSmoothingProperties:
             a = sub.steering_vector(aoa, tof)
             proj = np.linalg.norm(e_n.conj().T @ a) / np.linalg.norm(a)
             assert proj < 1e-4
+
+
+class TestMusicProperties:
+    @given(
+        params=st.lists(st.tuples(aoa_st, tof_st, gain_st), min_size=1, max_size=5),
+        aoa=aoa_st,
+        tof=tof_st,
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_signal_noise_complement(self, params, aoa, tof):
+        # ||E_N^H a||^2 = ||a||^2 - ||E_S^H a||^2: E_S and E_N together
+        # form an orthonormal basis, whatever split the threshold picks.
+        aoas, tofs, gains = zip(*params)
+        x = smooth_csi(ideal_csi(aoas, tofs, gains), PAPER_CONFIG)
+        e_s, e_n, _ = subspaces(covariance(x))
+        a = MODEL.subarray_model(2, 15).steering_vector(aoa, tof)
+        noise = np.linalg.norm(e_n.conj().T @ a) ** 2
+        signal = np.linalg.norm(e_s.conj().T @ a) ** 2
+        assert noise == pytest.approx(np.linalg.norm(a) ** 2 - signal, abs=1e-9)
 
 
 class TestSanitizeProperties:
