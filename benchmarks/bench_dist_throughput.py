@@ -34,7 +34,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.dist import ShardConfig, ShardRouter, merge_snapshots, start_shards
-from repro.faults.chaos import PACKET_INTERVAL_S
+from repro.dist.chaos import PACKET_INTERVAL_S
 from repro.testbed.layout import small_testbed
 
 SEED = 20150817  # SIGCOMM'15 presentation date, like the figure benches

@@ -34,11 +34,10 @@ import numpy as np
 
 from repro.core.pipeline import SpotFi, SpotFiConfig
 from repro.estimators import available, tier_of
-from repro.testbed.layout import home_testbed, office_testbed, small_testbed
+from repro.testbed.layout import TESTBEDS, testbed_by_name
 
 SEED = 20150817  # SIGCOMM'15 presentation date, like the figure benches
 REPO_ROOT = Path(__file__).resolve().parent.parent
-TESTBEDS = {"office": office_testbed, "small": small_testbed, "home": home_testbed}
 
 #: Default roster: the full built-in frontier, cheap to precise.
 DEFAULT_ESTIMATORS = "music2d,esprit,mdtrack,music-aoa,arraytrack,tof"
@@ -55,7 +54,7 @@ ROW_SCHEMA = (
 
 def build_bursts(testbed_name: str, num_targets: int, packets: int):
     """One multi-AP burst per target, identical across estimators."""
-    tb = TESTBEDS[testbed_name]()
+    tb = testbed_by_name(testbed_name)
     sim = tb.simulator()
     rng = np.random.default_rng(SEED)
     bursts = []

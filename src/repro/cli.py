@@ -30,12 +30,12 @@ Commands:
   exposition of the runtime metrics it produced; ``--from-shards``
   instead pulls and merges live shard metrics into one cluster-wide
   exposition.
-* ``chaos`` — run a seeded fault-injection scenario end to end through
-  the streaming server (injector + validator + circuit breakers) and
-  report fix success rate, accuracy, quarantine and breaker activity;
-  exits non-zero when the success rate falls below ``--min-success``.
-  The ``shard-kill`` scenario drills :mod:`repro.dist` failover: real
-  shard subprocesses, one SIGKILLed mid-stream.
+* ``chaos`` — run one scenario of the :mod:`repro.dist.chaos` registry
+  end to end (fault injection into the streaming server, or a
+  distributed drill over real shard subprocesses) and report fix success
+  rate, accuracy, quarantine and breaker activity; exits 1 when
+  :func:`~repro.dist.chaos.gate` reports a failure (success rate below
+  ``--min-success`` or a failed scenario verdict).
 * ``inspect`` — summarize a saved dataset (APs, packets, RSSI, truth).
 * ``floorplan`` — render a testbed's floorplan, APs and targets as ASCII.
 
@@ -59,6 +59,7 @@ import numpy as np
 
 from repro.baselines.arraytrack import ArrayTrack
 from repro.core.pipeline import SpotFi, SpotFiConfig
+from repro.dist.chaos import SCENARIOS, format_report, gate, run_chaos
 from repro.errors import ReproError
 from repro.io.traces import LocationDataset, load_dataset, save_dataset
 from repro.obs import (
@@ -79,20 +80,9 @@ from repro.runtime import (
 )
 from repro.server import FixEvent, SpotFiServer
 from repro.testbed.collection import as_ap_trace_pairs, collect_location
-from repro.testbed.layout import Testbed, home_testbed, office_testbed, small_testbed
+from repro.testbed.layout import TESTBEDS, Testbed, testbed_by_name
 from repro.wifi.csi import CsiFrame
 from repro.wifi.intel5300 import Intel5300
-
-_TESTBEDS = {"office": office_testbed, "small": small_testbed, "home": home_testbed}
-
-
-def _get_testbed(name: str) -> Testbed:
-    try:
-        return _TESTBEDS[name]()
-    except KeyError:
-        raise ReproError(
-            f"unknown testbed {name!r}; available: {sorted(_TESTBEDS)}"
-        ) from None
 
 
 # ----------------------------------------------------------------------
@@ -100,7 +90,7 @@ def _get_testbed(name: str) -> Testbed:
 # ----------------------------------------------------------------------
 def cmd_simulate(args: argparse.Namespace) -> int:
     """Simulate a collection burst and save it as .npz."""
-    testbed = _get_testbed(args.testbed)
+    testbed = testbed_by_name(args.testbed)
     if args.target_label:
         matches = [t for t in testbed.targets if t.label == args.target_label]
         if not matches:
@@ -139,7 +129,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_locate(args: argparse.Namespace) -> int:
     """Localize a saved dataset with SpotFi (optionally the baseline)."""
     dataset = load_dataset(args.dataset)
-    testbed = _get_testbed(args.testbed)
+    testbed = testbed_by_name(args.testbed)
     grid = Intel5300().grid()
     config = SpotFiConfig(
         packets_per_fix=args.packets, estimation=args.estimation
@@ -371,7 +361,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if args.shards > 1:
         return _serve_sharded(args)
     dataset = load_dataset(args.dataset)
-    testbed = _get_testbed(args.testbed)
+    testbed = testbed_by_name(args.testbed)
     grid = Intel5300().grid()
     config = SpotFiConfig(packets_per_fix=args.packets)
     metrics = RuntimeMetrics()
@@ -548,7 +538,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     if not args.dataset:
         raise ReproError("a dataset is required unless --merge is given")
     dataset = load_dataset(args.dataset)
-    testbed = _get_testbed(args.testbed)
+    testbed = testbed_by_name(args.testbed)
     grid = Intel5300().grid()
     config = SpotFiConfig(
         packets_per_fix=args.packets, estimation=args.estimation
@@ -606,7 +596,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     if not args.dataset:
         raise ReproError("a dataset is required unless --from-shards is given")
     dataset = load_dataset(args.dataset)
-    testbed = _get_testbed(args.testbed)
+    testbed = testbed_by_name(args.testbed)
     grid = Intel5300().grid()
     config = SpotFiConfig(packets_per_fix=args.packets)
     metrics = RuntimeMetrics()
@@ -630,9 +620,7 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 # chaos
 # ----------------------------------------------------------------------
 def cmd_chaos(args: argparse.Namespace) -> int:
-    """Run a fault-injection scenario and gate on the fix success rate."""
-    from repro.faults.chaos import NETWORK_SCENARIOS, format_report, run_chaos
-
+    """Run a chaos scenario and gate it on its registered verdicts."""
     report = run_chaos(
         scenario=args.scenario,
         testbed=args.testbed,
@@ -647,82 +635,10 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     else:
         print(format_report(report))
-    rate = 100.0 * report.success_rate
-    if rate < args.min_success:
-        print(
-            f"FAIL: fix success rate {rate:.0f}% below threshold "
-            f"{args.min_success:.0f}%",
-            file=sys.stderr,
-        )
-        return 1
-    if args.scenario == "downgrade" and report.downgraded_fixes < 1:
-        print(
-            "FAIL: breaker trip produced no downgraded fixes — the "
-            "downgrade path shed load instead of switching tiers",
-            file=sys.stderr,
-        )
-        return 1
-    if args.scenario == "moving-target":
-        # Track-continuity verdicts: the killed shard's tracks must have
-        # resumed on the ring successors (same track id across the
-        # kill), never restarted cold, and no source may ever have been
-        # tracked under two ids at once.
-        failed = False
-        if int(report.injected.get("resumed_tracks", 0)) < 1:
-            print(
-                "FAIL: no track resumed across the shard kill — the "
-                "failover never exercised checkpoint handoff",
-                file=sys.stderr,
-            )
-            failed = True
-        if int(report.injected.get("cold_restarts", 0)) != 0:
-            print(
-                f"FAIL: {report.injected['cold_restarts']} track(s) "
-                "restarted cold on the successor instead of resuming "
-                "from the checkpoint",
-                file=sys.stderr,
-            )
-            failed = True
-        if int(report.injected.get("duplicate_track_ids", 0)) != 0:
-            print(
-                f"FAIL: {report.injected['duplicate_track_ids']} "
-                "duplicate track id(s) — a source was tracked under "
-                "more than one identity",
-                file=sys.stderr,
-            )
-            failed = True
-        if failed:
-            return 1
-    if args.scenario in NETWORK_SCENARIOS:
-        # Transport matrix verdicts beyond raw success: at-least-once
-        # delivery must have engaged, nobody may end the run stranded,
-        # and dedup must have absorbed every redelivery.
-        failed = False
-        if int(report.injected.get("replayed", 0)) < 1:
-            print(
-                "FAIL: no journaled frames were replayed — the scenario "
-                "never exercised at-least-once failover",
-                file=sys.stderr,
-            )
-            failed = True
-        if int(report.injected.get("unrouted_sources", 0)) != 0:
-            print(
-                f"FAIL: {report.injected['unrouted_sources']} source(s) "
-                "ended the run routed to a dead shard",
-                file=sys.stderr,
-            )
-            failed = True
-        if int(report.injected.get("excess_fixes", 0)) != 0:
-            print(
-                f"FAIL: {report.injected['excess_fixes']} fix(es) beyond "
-                "the delivered packet budget — redelivered frames were "
-                "double-counted instead of deduplicated",
-                file=sys.stderr,
-            )
-            failed = True
-        if failed:
-            return 1
-    return 0
+    failures = gate(report, args.min_success)
+    for failure in failures:
+        print(f"FAIL: {failure}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 # ----------------------------------------------------------------------
@@ -776,7 +692,7 @@ def render_floorplan(testbed: Testbed, cols: int = 90, rows: int = 26) -> str:
 
 def cmd_floorplan(args: argparse.Namespace) -> int:
     """Render a testbed floorplan as ASCII art."""
-    testbed = _get_testbed(args.testbed)
+    testbed = testbed_by_name(args.testbed)
     print(f"testbed '{testbed.name}': bounds {testbed.bounds}")
     print(render_floorplan(testbed, cols=args.width))
     print(f"{len(testbed.targets)} targets, {len(testbed.aps)} APs")
@@ -795,7 +711,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="simulate a collection burst to .npz")
     p.add_argument("output", help="output .npz path")
-    p.add_argument("--testbed", default="office", choices=sorted(_TESTBEDS))
+    p.add_argument("--testbed", default="office", choices=sorted(TESTBEDS))
     p.add_argument("--target-label", default="", help="target label (see floorplan)")
     p.add_argument("--x", type=float, default=None)
     p.add_argument("--y", type=float, default=None)
@@ -805,7 +721,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("locate", help="localize a saved dataset")
     p.add_argument("dataset", help=".npz dataset path")
-    p.add_argument("--testbed", default="office", choices=sorted(_TESTBEDS))
+    p.add_argument("--testbed", default="office", choices=sorted(TESTBEDS))
     p.add_argument("--packets", type=int, default=40)
     p.add_argument("--estimation", default="music", choices=("music", "esprit"))
     p.add_argument(
@@ -825,7 +741,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("serve", help="replay a dataset through the server")
     p.add_argument("dataset", help=".npz dataset path")
-    p.add_argument("--testbed", default="office", choices=sorted(_TESTBEDS))
+    p.add_argument("--testbed", default="office", choices=sorted(TESTBEDS))
     p.add_argument("--packets", type=int, default=10, help="packets per fix burst")
     p.add_argument("--min-aps", type=int, default=2)
     p.add_argument("--track", action="store_true", help="Kalman-filter the fixes")
@@ -927,7 +843,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--bind", required=True, help="unix:/path/to.sock or tcp:HOST:PORT"
     )
     p.add_argument("--id", default="shard0", help="shard id for fixes/metrics")
-    p.add_argument("--testbed", default="small", choices=sorted(_TESTBEDS))
+    p.add_argument("--testbed", default="small", choices=sorted(TESTBEDS))
     p.add_argument("--packets", type=int, default=8, help="packets per fix burst")
     p.add_argument("--min-aps", type=int, default=2)
     p.add_argument(
@@ -1009,7 +925,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="merge the JSONL span exports under this directory into "
         "cross-process trace trees instead of running a localization",
     )
-    p.add_argument("--testbed", default="office", choices=sorted(_TESTBEDS))
+    p.add_argument("--testbed", default="office", choices=sorted(TESTBEDS))
     p.add_argument("--packets", type=int, default=40)
     p.add_argument("--estimation", default="music", choices=("music", "esprit"))
     p.add_argument(
@@ -1037,7 +953,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated shard endpoints (unix:/... or tcp:...) to "
         "pull and merge metrics from instead of a local run",
     )
-    p.add_argument("--testbed", default="office", choices=sorted(_TESTBEDS))
+    p.add_argument("--testbed", default="office", choices=sorted(TESTBEDS))
     p.add_argument("--packets", type=int, default=40)
     p.add_argument(
         "--repeats", type=int, default=1, help="locate passes to accumulate"
@@ -1050,13 +966,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_metrics)
 
-    from repro.faults.chaos import SCENARIOS
-
     p = sub.add_parser(
         "chaos", help="run a seeded fault-injection scenario end to end"
     )
     p.add_argument("--scenario", default="mixed", choices=SCENARIOS)
-    p.add_argument("--testbed", default="small", choices=sorted(_TESTBEDS))
+    p.add_argument("--testbed", default="small", choices=sorted(TESTBEDS))
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--packets", type=int, default=8, help="packets per fix burst")
     p.add_argument("--bursts", type=int, default=4, help="bursts to stream")
@@ -1075,7 +989,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_inspect)
 
     p = sub.add_parser("floorplan", help="render a testbed as ASCII")
-    p.add_argument("--testbed", default="office", choices=sorted(_TESTBEDS))
+    p.add_argument("--testbed", default="office", choices=sorted(TESTBEDS))
     p.add_argument("--width", type=int, default=90)
     p.set_defaults(func=cmd_floorplan)
 

@@ -44,15 +44,8 @@ from repro.obs.trace import JsonlSpanExporter, TraceContext, Tracer
 from repro.runtime import RuntimeMetrics, create_executor
 from repro.server import FixEvent, SpotFiServer
 from repro.wifi.csi import CsiFrame
-from repro.testbed.layout import (
-    Testbed,
-    home_testbed,
-    office_testbed,
-    small_testbed,
-)
+from repro.testbed.layout import testbed_by_name
 from repro.wifi.intel5300 import Intel5300
-
-_TESTBEDS = {"office": office_testbed, "small": small_testbed, "home": home_testbed}
 
 
 @dataclass(frozen=True)
@@ -115,12 +108,7 @@ def build_server(config: ShardConfig) -> SpotFiServer:
     a shared :class:`~repro.runtime.RuntimeMetrics` instance threads
     through the executor and the server so one snapshot covers both.
     """
-    try:
-        testbed: Testbed = _TESTBEDS[config.testbed]()
-    except KeyError:
-        raise ReproError(
-            f"unknown testbed {config.testbed!r}; available: {sorted(_TESTBEDS)}"
-        ) from None
+    testbed = testbed_by_name(config.testbed)
     metrics = RuntimeMetrics()
     executor = create_executor(config.workers, metrics=metrics)
     tracer: Optional[Tracer] = None

@@ -19,14 +19,13 @@ The robustness layer around the SpotFi pipeline:
 * :mod:`~repro.faults.network` — transport fault specs
   (:class:`NetworkFaultSpec` and friends) and the :class:`FaultySocket`
   wrapper that applies them to live router/shard sockets.
-* :mod:`~repro.faults.chaos` — seeded end-to-end chaos scenarios
-  (:func:`run_chaos`, the ``repro chaos`` command).
 
 The chaos symbols (:func:`run_chaos`, :class:`ChaosReport`,
-:data:`SCENARIOS`, :func:`scenario_specs`, :func:`format_report`) load
-lazily: :mod:`~repro.faults.chaos` pulls in the whole server stack, which
-itself depends on this package's leaf modules, so an eager import here
-would be circular.
+:data:`SCENARIOS`, :func:`scenario_specs`, :func:`format_report`) are
+re-exported lazily from :mod:`repro.dist.chaos`, which owns every chaos
+scenario: it pulls in the whole server and dist stack, which itself
+depends on this package's leaf modules, so an eager import here would be
+circular.
 """
 
 from repro.faults.breaker import BREAKER_STATES, CircuitBreaker
@@ -105,7 +104,7 @@ __all__ = [
 
 def __getattr__(name: str) -> object:
     if name in _CHAOS_EXPORTS:
-        from repro.faults import chaos
+        from repro.dist import chaos
 
         return getattr(chaos, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

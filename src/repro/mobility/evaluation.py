@@ -29,12 +29,7 @@ from repro.geom.points import Point
 from repro.mobility.handoff import HandoffPolicy
 from repro.mobility.motion import MotionBurst, motion_bursts
 from repro.mobility.tracks import TrackManager
-from repro.testbed.layout import (
-    Testbed,
-    home_testbed,
-    office_testbed,
-    small_testbed,
-)
+from repro.testbed.layout import Testbed, testbed_by_name
 from repro.testbed.mobility import (
     OccupancyGrid,
     plan_route,
@@ -49,12 +44,6 @@ PACKET_INTERVAL_S = 0.1
 
 #: Label for the stationary anchor row.
 STATIC = "static"
-
-_TESTBEDS = {
-    "office": office_testbed,
-    "small": small_testbed,
-    "home": home_testbed,
-}
 
 
 @dataclass(frozen=True)
@@ -139,12 +128,7 @@ def run_track_eval(
     Returns one row per cell, static rows first.  The same synthesized
     bursts feed every tier, so the tiers differ only in estimation.
     """
-    try:
-        testbed = _TESTBEDS[testbed_name]()
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown testbed {testbed_name!r}; available: {sorted(_TESTBEDS)}"
-        ) from None
+    testbed = testbed_by_name(testbed_name)
     simulator = testbed.simulator()
     grid = OccupancyGrid(testbed.floorplan)
     aps = {f"ap{i}": ap for i, ap in enumerate(testbed.aps)}

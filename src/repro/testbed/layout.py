@@ -13,12 +13,13 @@ benchmark sees the same building.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.channel.csi_model import ChannelSimulator
 from repro.channel.impairments import ImpairmentModel
+from repro.errors import ConfigurationError
 from repro.geom.floorplan import Floorplan
 from repro.geom.points import Point, as_point
 from repro.wifi.arrays import UniformLinearArray
@@ -338,3 +339,26 @@ def small_testbed() -> Testbed:
         bounds=(0.0, 0.0, 12.0, 8.0),
         name="small-room",
     )
+
+
+#: The built-in testbeds by name (the CLI's ``--testbed`` choices).
+TESTBEDS: Dict[str, Callable[[], Testbed]] = {
+    "office": office_testbed,
+    "small": small_testbed,
+    "home": home_testbed,
+}
+
+
+def testbed_by_name(name: str) -> Testbed:
+    """Build the built-in testbed called ``name``.
+
+    Raises :class:`~repro.errors.ConfigurationError` naming the available
+    testbeds when ``name`` is unknown.
+    """
+    try:
+        factory = TESTBEDS[name]
+    except KeyError:
+        raise ConfigurationError(
+            f"unknown testbed {name!r}; available: {sorted(TESTBEDS)}"
+        ) from None
+    return factory()

@@ -8,9 +8,8 @@ fix-count accounting (no duplicates, nobody stranded).
 
 import pytest
 
-from repro.dist.chaos import NETWORK_SCENARIOS, network_scenario_specs
+from repro.dist.chaos import NETWORK_SCENARIOS, network_scenario_specs, run_chaos
 from repro.errors import ConfigurationError
-from repro.faults.chaos import run_chaos
 
 
 @pytest.fixture(scope="module")

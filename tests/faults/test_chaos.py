@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.faults.chaos import (
+from repro.faults import (
     SCENARIOS,
     ChaosReport,
     format_report,
