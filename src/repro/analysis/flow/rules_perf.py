@@ -1,7 +1,7 @@
 """PERF rule family: hot-path allocation and copy discipline.
 
-SpotFi's serving cost is per-packet 2-D MUSIC; ROADMAP items 1–2 hinge
-on the hot path staying allocation- and copy-clean.  These rules flag
+SpotFi's serving cost is per-packet 2-D MUSIC; speed work hinges on
+the hot path staying allocation- and copy-clean.  These rules flag
 the regressions that erode it:
 
 * **REP011** — per-packet allocation reachable from a hot root: numpy
@@ -14,8 +14,8 @@ the regressions that erode it:
 * **REP013** — complex128 arrays crossing a pickling boundary
   (executor ``map_ordered``/``submit``, ``Process(target=...)``)
   without a shared-memory or raw-bytes path: each CSI matrix is
-  serialized element-wise per task, which is exactly the copy ROADMAP
-  item 2 exists to remove.
+  serialized element-wise per task, the copy a shared-memory path
+  would remove.
 """
 
 from __future__ import annotations
@@ -218,8 +218,8 @@ class PickledComplexRule(FlowRule):
     per task is serialized, copied, and deserialized on every packet —
     the dominant distribution overhead measured in BENCH_dist.json.
     Approved crossings are the raw-bytes wire encoders
-    (``repro.dist.protocol``) and, once ROADMAP item 2 lands, shared
-    memory; anything else needs an explicit suppression.
+    (``repro.dist.protocol``) and, once one exists, shared memory;
+    anything else needs an explicit suppression.
     """
 
     rule_id = "REP013"

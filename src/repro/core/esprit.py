@@ -180,8 +180,8 @@ class EspritEstimator:
                 estimates.extend(self.estimate_packet(frame.csi, packet_index=index))
             return estimates
         tasks = [(self, frame.csi, index) for index, frame in enumerate(trace)]
-        # CSI is pickled once per task until the ROADMAP item 2 shared-memory
-        # path lands; acceptable at trace sizes, tracked by BENCH_dist.json.
+        # CSI is pickled once per task; acceptable at trace sizes, tracked
+        # by BENCH_dist.json.
         per_packet = executor.map_ordered(  # repro: noqa REP013
             estimate_packet_task, tasks, stage="estimate"
         )

@@ -23,7 +23,7 @@ from repro.core.peaks import SpectrumPeak, find_peaks_2d, merge_close_peaks
 from repro.core.sanitize import sanitize_csi
 from repro.core.smoothing import SmoothingConfig, smooth_csi, smooth_csi_batch
 from repro.core.steering import SteeringModel
-from repro.errors import EstimationError
+from repro.errors import ConfigurationError, EstimationError
 from repro.analysis.contracts import contract
 from repro.runtime.cache import default_steering_cache
 from repro.wifi.arrays import UniformLinearArray
@@ -87,6 +87,12 @@ class JointEstimator:
     min_rel_height_db: float = 20.0
 
     def __post_init__(self) -> None:
+        if self.max_peaks < 1:
+            raise ConfigurationError(f"max_peaks must be >= 1, got {self.max_peaks}")
+        if not self.min_rel_height_db >= 0:
+            raise ConfigurationError(
+                f"min_rel_height_db must be >= 0, got {self.min_rel_height_db}"
+            )
         # The steering model used against the smoothed matrix spans the
         # subarray, not the full array.
         self._sub_model = self.model.subarray_model(
@@ -221,8 +227,8 @@ class JointEstimator:
                 estimates.extend(self.estimate_packet(frame.csi, packet_index=index))
             return estimates
         tasks = [(self, frame.csi, index) for index, frame in enumerate(trace)]
-        # CSI is pickled once per task until the ROADMAP item 2 shared-memory
-        # path lands; acceptable at trace sizes, tracked by BENCH_dist.json.
+        # CSI is pickled once per task; acceptable at trace sizes, tracked
+        # by BENCH_dist.json.
         per_packet = executor.map_ordered(  # repro: noqa REP013
             estimate_packet_task, tasks, stage="estimate"
         )

@@ -2,17 +2,19 @@
 
 Finds local maxima of the MUSIC pseudospectrum, refines them with a
 quadratic (log-domain) interpolation around the grid cell, and returns the
-strongest few as (AoA, ToF, power) triples.
+strongest few as (AoA, ToF, power) triples.  Only cells above the
+relative-height threshold are tested against their neighbours; on MUSIC
+spectra that is a few percent of the grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
-from scipy import ndimage
 
+from repro.core.indexcache import index_vector
 from repro.errors import ConfigurationError
 
 
@@ -33,15 +35,6 @@ class SpectrumPeak:
     power: float
 
 
-def _parabolic_offset(left: float, center: float, right: float) -> float:
-    """Sub-cell offset in [-0.5, 0.5] of a parabola through three samples."""
-    denom = left - 2.0 * center + right
-    if denom >= -1e-300:  # not strictly concave; stay on the grid point
-        return 0.0
-    offset = 0.5 * (left - right) / denom
-    return float(np.clip(offset, -0.5, 0.5))
-
-
 def find_peaks_2d(
     spectrum: np.ndarray,
     aoa_grid_deg: np.ndarray,
@@ -53,16 +46,26 @@ def find_peaks_2d(
 ) -> List[SpectrumPeak]:
     """Extract local maxima from a 2-D pseudospectrum.
 
+    A peak is a cell ``>=`` every cell of its ``neighborhood`` window
+    (nearest-edge indexing at the grid border), ``> 0``, and strictly
+    above the window minimum (which rejects flat plateaus).  Only cells at
+    or above ``min_rel_height_db`` below the strongest allowed cell are
+    tested: every kept peak lies above that threshold whenever the
+    strongest allowed cell is itself a peak.  When it is not, the
+    threshold drops to the strongest peak found (or to zero if none was)
+    and the same scan runs again, so the result is always the one a
+    full-grid search would give.
+
     Parameters
     ----------
     spectrum:
-        (len(aoa_grid), len(tof_grid)) positive values.
+        (len(aoa_grid), len(tof_grid)) finite values.
     aoa_grid_deg, tof_grid_s:
         The grids the spectrum was evaluated on.
     max_peaks:
-        Keep at most this many strongest peaks.
+        Keep at most this many strongest peaks (>= 1).
     min_rel_height_db:
-        Drop peaks more than this many dB below the strongest peak.
+        Drop peaks more than this many dB below the strongest peak (>= 0).
     neighborhood:
         Odd size of the local-maximum window (3 = 8-connected).
     exclude_border:
@@ -74,8 +77,8 @@ def find_peaks_2d(
 
     Returns
     -------
-    list of :class:`SpectrumPeak`, strongest first.  Empty only for a
-    flat spectrum.
+    list of :class:`SpectrumPeak`, strongest first; equal powers in
+    row-major grid order.  Empty only for a flat spectrum.
     """
     spec = np.asarray(spectrum, dtype=float)
     if spec.ndim != 2:
@@ -87,54 +90,86 @@ def find_peaks_2d(
         )
     if neighborhood % 2 == 0 or neighborhood < 3:
         raise ConfigurationError(f"neighborhood must be odd and >= 3, got {neighborhood}")
+    if max_peaks < 1:
+        raise ConfigurationError(f"max_peaks must be >= 1, got {max_peaks}")
+    if not min_rel_height_db >= 0:
+        raise ConfigurationError(f"min_rel_height_db must be >= 0, got {min_rel_height_db}")
+    if not np.isfinite(spec).all():
+        raise ConfigurationError("spectrum must be finite")
 
-    local_max = ndimage.maximum_filter(spec, size=neighborhood, mode="nearest")
-    is_peak = (spec >= local_max) & (spec > 0)
-    # A constant plateau makes everything a "peak"; require strictly above
-    # the neighborhood minimum to reject flat regions.
-    local_min = ndimage.minimum_filter(spec, size=neighborhood, mode="nearest")
-    is_peak &= spec > local_min * (1.0 + 1e-12)
-    if exclude_border:
-        is_peak[0, :] = is_peak[-1, :] = False
-        is_peak[:, 0] = is_peak[:, -1] = False
-
-    rows, cols = np.nonzero(is_peak)
-    if rows.size == 0:
+    allowed = spec[1:-1, 1:-1] if exclude_border else spec
+    if allowed.size == 0:
         return []
-    powers = spec[rows, cols]
-    order = np.argsort(powers)[::-1]
-    strongest = powers[order[0]]
-    floor = strongest * 10.0 ** (-min_rel_height_db / 10.0)
+    top = allowed.max()
+    scale = 10.0 ** (-min_rel_height_db / 10.0)
+    index, power = _local_maxima(spec, top * scale, neighborhood, exclude_border)
+    if power.size == 0 or power[0] < top:
+        # The top cell is not a peak, so the strongest peak (and with it
+        # the floor) may lie below the first threshold: rescan from there.
+        floor = power[0] * scale if power.size else 0.0
+        index, power = _local_maxima(spec, floor, neighborhood, exclude_border)
+    if power.size == 0:
+        return []
+    kept = (power >= power[0] * scale).nonzero()[0][:max_peaks]
+    rows, cols = np.divmod(index[kept], spec.shape[1])
+    aoa = _refine(spec, np.asarray(aoa_grid_deg, dtype=float), rows, cols)
+    tof = _refine(spec.T, np.asarray(tof_grid_s, dtype=float), cols, rows)
+    return [
+        SpectrumPeak(aoa_deg=float(a), tof_s=float(t), power=float(p))
+        for a, t, p in zip(aoa, tof, power[kept])
+    ]
 
-    peaks: List[SpectrumPeak] = []
-    for idx in order:
-        if len(peaks) >= max_peaks:
-            break
-        power = float(powers[idx])
-        if power < floor:
-            break
-        i, j = int(rows[idx]), int(cols[idx])
-        aoa = _refine_axis(spec, aoa_grid_deg, i, j, axis=0)
-        tof = _refine_axis(spec, tof_grid_s, i, j, axis=1)
-        peaks.append(SpectrumPeak(aoa_deg=float(aoa), tof_s=float(tof), power=power))
-    return peaks
+
+def _local_maxima(
+    spec: np.ndarray, threshold: float, neighborhood: int, exclude_border: bool
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Flat indices and powers of the peaks among cells ``>= threshold``.
+
+    Sorted by power descending, then flat (row-major) index ascending.
+    """
+    n_rows, n_cols = spec.shape
+    flat = spec.ravel()
+    index = np.flatnonzero(flat >= threshold)
+    rows, cols = np.divmod(index, n_cols)
+    if exclude_border:
+        inside = (rows > 0) & (rows < n_rows - 1) & (cols > 0) & (cols < n_cols - 1)
+        index, rows, cols = index[inside], rows[inside], cols[inside]
+    # Clipping the window to the grid repeats the edge cell, which is
+    # what ndimage's mode="nearest" means.
+    offsets = (index_vector(neighborhood) - neighborhood // 2)[:, None]
+    window_rows = np.clip(rows + offsets, 0, n_rows - 1)
+    window_cols = np.clip(cols + offsets, 0, n_cols - 1)
+    window = flat[window_rows[:, None, :] * n_cols + window_cols[None, :, :]]
+    window = window.reshape(neighborhood * neighborhood, index.size)
+    center = flat[index]
+    is_peak = (
+        (center >= window.max(axis=0))
+        & (center > 0)
+        & (center > window.min(axis=0) * (1.0 + 1e-12))
+    )
+    index, power = index[is_peak], center[is_peak]
+    order = np.argsort(-power, kind="stable")
+    return index[order], power[order]
 
 
-def _refine_axis(spec: np.ndarray, grid: np.ndarray, i: int, j: int, axis: int) -> float:
-    """Quadratic sub-grid refinement of a peak along one axis (log domain)."""
-    n = spec.shape[axis]
-    k = i if axis == 0 else j
-    if k == 0 or k == n - 1:
-        return float(grid[k])
-    if axis == 0:
-        left, center, right = spec[i - 1, j], spec[i, j], spec[i + 1, j]
-    else:
-        left, center, right = spec[i, j - 1], spec[i, j], spec[i, j + 1]
-    # Log-domain interpolation: MUSIC peaks are sharp, near-Gaussian in log.
-    logs = np.log(np.maximum([left, center, right], 1e-300))
-    offset = _parabolic_offset(logs[0], logs[1], logs[2])
-    step = grid[k + 1] - grid[k] if offset >= 0 else grid[k] - grid[k - 1]
-    return float(grid[k] + offset * step)
+def _refine(spec: np.ndarray, grid: np.ndarray, k: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """Sub-cell positions along axis 0 of peaks at ``spec[k, other]``.
+
+    Fits a parabola through the log of each peak and its two axis
+    neighbours (MUSIC peaks are sharp, near-Gaussian in log) and moves at
+    most half a cell; a peak on the first or last row, or one that is not
+    strictly concave, stays on its grid point.
+    """
+    last = spec.shape[0] - 1
+    below, above = np.maximum(k - 1, 0), np.minimum(k + 1, last)
+    samples = np.stack([spec[below, other], spec[k, other], spec[above, other]])
+    left, center, right = np.log(np.maximum(samples, 1e-300))
+    denom = left - 2.0 * center + right
+    offset = np.zeros_like(denom)
+    np.divide(0.5 * (left - right), denom, out=offset, where=denom < -1e-300)
+    offset = np.clip(offset, -0.5, 0.5)
+    step = np.where(offset >= 0, grid[above] - grid[k], grid[k] - grid[below])
+    return np.where((k == 0) | (k == last), grid[k], grid[k] + offset * step)
 
 
 def merge_close_peaks(

@@ -565,8 +565,8 @@ class SpotFi:
             for index, frame in enumerate(used):
                 tasks.append((estimator, frame.csi, index))
         try:
-            # Per-task CSI pickling: accepted until the shared-memory path
-            # lands (ROADMAP item 2); cost tracked by BENCH_dist.json.
+            # Per-task CSI pickling: accepted at trace sizes; cost tracked
+            # by BENCH_dist.json.
             results = self.executor.map_ordered(  # repro: noqa REP013
                 estimate_packet_safe, tasks, stage="estimate"
             )
@@ -608,8 +608,8 @@ class SpotFi:
         rssi = used.median_rssi_dbm()
         tasks = [(estimator, frame.csi, index) for index, frame in enumerate(used)]
         try:
-            # Per-task CSI pickling: accepted until the shared-memory path
-            # (ROADMAP item 2); this is the isolation/failure path anyway.
+            # Per-task CSI pickling: accepted at trace sizes; this is the
+            # isolation/failure path anyway.
             packet_results = self.executor.map_ordered(  # repro: noqa REP013
                 estimate_packet_safe, tasks, stage="estimate"
             )

@@ -7,7 +7,7 @@ from repro.channel.csi_model import synthesize_csi
 from repro.channel.paths import PropagationPath
 from repro.core.estimator import JointEstimator, PathEstimate, estimates_as_array
 from repro.core.music import MusicConfig
-from repro.errors import EstimationError
+from repro.errors import ConfigurationError, EstimationError
 from repro.wifi.csi import CsiTrace
 
 
@@ -130,6 +130,14 @@ class TestInterfaces:
         trace = CsiTrace.from_arrays(np.stack([csi, csi, csi]))
         estimates = estimator.estimate_trace(trace)
         assert {e.packet_index for e in estimates} == {0, 1, 2}
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"max_peaks": 0}, {"max_peaks": -3}, {"min_rel_height_db": -1.0}],
+    )
+    def test_settings_that_keep_no_estimates_rejected(self, ula, grid, kwargs):
+        with pytest.raises(ConfigurationError):
+            JointEstimator.for_intel5300(ula, grid, **kwargs)
 
     def test_subarray_model_shape(self, estimator):
         assert estimator.subarray_model.num_antennas == 2

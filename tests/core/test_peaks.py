@@ -2,12 +2,88 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import ndimage
 
+from repro import Intel5300
+from repro.core.estimator import JointEstimator
 from repro.core.peaks import SpectrumPeak, find_peaks_2d, merge_close_peaks
 from repro.errors import ConfigurationError
+from repro.testbed.layout import office_testbed
+from repro.testbed.scenarios import office_locations
 
 AOA_GRID = np.arange(-90.0, 91.0, 1.0)
 TOF_GRID = np.arange(0.0, 200e-9, 2.5e-9)
+
+
+def _reference_peaks(
+    spectrum,
+    aoa_grid_deg,
+    tof_grid_s,
+    max_peaks=8,
+    min_rel_height_db=20.0,
+    neighborhood=3,
+    exclude_border=True,
+):
+    """Test oracle: the full-grid peak search.
+
+    Runs a 3 x 3 (or ``neighborhood``) maximum and minimum filter over
+    every cell, then refines the kept peaks one at a time.  Equal powers
+    are ordered by row-major grid index.
+    """
+    spec = np.asarray(spectrum, dtype=float)
+    local_max = ndimage.maximum_filter(spec, size=neighborhood, mode="nearest")
+    is_peak = (spec >= local_max) & (spec > 0)
+    local_min = ndimage.minimum_filter(spec, size=neighborhood, mode="nearest")
+    is_peak &= spec > local_min * (1.0 + 1e-12)
+    if exclude_border:
+        is_peak[0, :] = is_peak[-1, :] = False
+        is_peak[:, 0] = is_peak[:, -1] = False
+
+    rows, cols = np.nonzero(is_peak)
+    if rows.size == 0:
+        return []
+    powers = spec[rows, cols]
+    order = np.argsort(-powers, kind="stable")
+    strongest = powers[order[0]]
+    floor = strongest * 10.0 ** (-min_rel_height_db / 10.0)
+
+    peaks = []
+    for idx in order:
+        if len(peaks) >= max_peaks:
+            break
+        power = float(powers[idx])
+        if power < floor:
+            break
+        i, j = int(rows[idx]), int(cols[idx])
+        aoa = _refine_axis(spec, aoa_grid_deg, i, j, axis=0)
+        tof = _refine_axis(spec, tof_grid_s, i, j, axis=1)
+        peaks.append(SpectrumPeak(aoa_deg=float(aoa), tof_s=float(tof), power=power))
+    return peaks
+
+
+def _refine_axis(spec, grid, i, j, axis):
+    n = spec.shape[axis]
+    k = i if axis == 0 else j
+    if k == 0 or k == n - 1:
+        return float(grid[k])
+    if axis == 0:
+        left, center, right = spec[i - 1, j], spec[i, j], spec[i + 1, j]
+    else:
+        left, center, right = spec[i, j - 1], spec[i, j], spec[i, j + 1]
+    logs = np.log(np.maximum([left, center, right], 1e-300))
+    offset = _parabolic_offset(logs[0], logs[1], logs[2])
+    step = grid[k + 1] - grid[k] if offset >= 0 else grid[k] - grid[k - 1]
+    return float(grid[k] + offset * step)
+
+
+def _parabolic_offset(left, center, right):
+    denom = left - 2.0 * center + right
+    if denom >= -1e-300:
+        return 0.0
+    offset = 0.5 * (left - right) / denom
+    return float(np.clip(offset, -0.5, 0.5))
 
 
 def gaussian_bump(center_i, center_j, height, width=3.0):
@@ -77,6 +153,109 @@ class TestFindPeaks:
                 TOF_GRID,
                 neighborhood=4,
             )
+
+
+    def test_equal_powers_in_row_major_order(self):
+        spec = np.full((len(AOA_GRID), len(TOF_GRID)), 0.1)
+        for i, j in [(100, 50), (20, 70), (20, 30), (140, 10)]:
+            spec[i, j] = 5.0
+        peaks = find_peaks_2d(spec, AOA_GRID, TOF_GRID)
+        assert [(p.aoa_deg, p.tof_s) for p in peaks] == [
+            (AOA_GRID[i], TOF_GRID[j]) for i, j in [(20, 30), (20, 70), (100, 50), (140, 10)]
+        ]
+        assert find_peaks_2d(spec, AOA_GRID, TOF_GRID, max_peaks=2) == peaks[:2]
+        assert peaks == _reference_peaks(spec, AOA_GRID, TOF_GRID)
+
+    @pytest.mark.parametrize("runner_up", [None, 10.0])
+    def test_top_cell_beside_a_larger_border_cell(self, runner_up):
+        # The strongest interior cell is not a peak (its border neighbour
+        # is larger), so the first threshold, 1% of it, is too high: the
+        # 0.4 peak is only found by rescanning below the strongest peak.
+        spec = np.full((len(AOA_GRID), len(TOF_GRID)), 0.1)
+        spec[0, 20] = 100.0
+        spec[1, 20] = 50.0
+        spec[90, 40] = 0.4
+        if runner_up is not None:
+            spec[60, 60] = runner_up
+        peaks = find_peaks_2d(spec, AOA_GRID, TOF_GRID)
+        expected = [0.4] if runner_up is None else [runner_up, 0.4]
+        assert [p.power for p in peaks] == expected
+        assert peaks == _reference_peaks(spec, AOA_GRID, TOF_GRID)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"max_peaks": 0},
+            {"max_peaks": -3},
+            {"min_rel_height_db": -1.0},
+            {"min_rel_height_db": float("nan")},
+        ],
+    )
+    def test_settings_that_keep_nothing_rejected(self, kwargs):
+        spec = gaussian_bump(60, 30, 100.0) + 0.1
+        with pytest.raises(ConfigurationError):
+            find_peaks_2d(spec, AOA_GRID, TOF_GRID, **kwargs)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("cell", [(60, 30), (0, 0)])
+    def test_non_finite_spectrum_rejected(self, value, cell):
+        spec = gaussian_bump(60, 30, 100.0) + 0.1
+        spec[cell] = value
+        with pytest.raises(ConfigurationError, match="finite"):
+            find_peaks_2d(spec, AOA_GRID, TOF_GRID)
+
+
+@st.composite
+def peak_cases(draw):
+    """(spectrum, aoa grid, tof grid, keyword arguments) for the oracle."""
+    rows = draw(st.integers(min_value=1, max_value=24))
+    cols = draw(st.integers(min_value=1, max_value=24))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    kind = draw(st.sampled_from(["continuous", "plateaus", "border"]))
+    if kind == "plateaus":
+        spec = rng.integers(0, 4, size=(rows, cols)).astype(float)
+    else:
+        spec = rng.exponential(size=(rows, cols)) ** 3
+    if kind == "border":
+        i = draw(st.sampled_from([0, rows - 1]))
+        j = draw(st.integers(min_value=0, max_value=cols - 1))
+        spec[i, j] = spec.max() * draw(st.floats(min_value=1.0, max_value=1e3))
+        spec = spec if draw(st.booleans()) else spec.T.copy()
+    kwargs = {
+        "max_peaks": draw(st.integers(min_value=1, max_value=12)),
+        "min_rel_height_db": draw(st.floats(min_value=0.0, max_value=40.0)),
+        "neighborhood": draw(st.sampled_from([3, 5])),
+        "exclude_border": draw(st.booleans()),
+    }
+    aoa = np.linspace(-90.0, 90.0, spec.shape[0])
+    tof = np.linspace(0.0, 200e-9, spec.shape[1])
+    return spec, aoa, tof, kwargs
+
+
+@settings(max_examples=300, deadline=None)
+@given(peak_cases())
+def test_matches_full_grid_reference(case):
+    spec, aoa, tof, kwargs = case
+    assert find_peaks_2d(spec, aoa, tof, **kwargs) == _reference_peaks(spec, aoa, tof, **kwargs)
+
+
+def test_office_spectra_match_full_grid_reference():
+    testbed = office_testbed()
+    sim = testbed.simulator()
+    rng = np.random.default_rng(7)
+    compared = 0
+    for target in office_locations(testbed)[:2]:
+        for ap in testbed.office_aps()[:3]:
+            estimator = JointEstimator.for_intel5300(ap, Intel5300().grid())
+            trace = sim.generate_trace(target.position, ap, 2, rng=rng)
+            for frame in trace:
+                spec, aoa, tof = estimator.spectrum(frame.csi)
+                kwargs = {"max_peaks": 12, "min_rel_height_db": 20.0}
+                peaks = find_peaks_2d(spec, aoa, tof, **kwargs)
+                assert peaks
+                assert peaks == _reference_peaks(spec, aoa, tof, **kwargs)
+                compared += 1
+    assert compared == 12
 
 
 class TestMerge:
