@@ -4,10 +4,10 @@ indoor-navigation use case (and its "motion tracing" future work).
 
 A target walks a corridor-to-office route through the Fig. 6 testbed; at
 each waypoint it transmits a short packet burst (the paper shows 10
-packets suffice, Fig. 9(b)).  A :class:`repro.tracking.SpotFiTracker`
-fuses the per-burst SpotFi fixes through a constant-velocity Kalman filter
-with outlier gating, and the script compares raw vs filtered trajectory
-error, plus a crude ASCII map.
+packets suffice, Fig. 9(b)).  Each burst's :meth:`repro.SpotFi.locate`
+fix feeds a :class:`repro.mobility.tracks.TrackManager`, whose track runs
+a constant-velocity Kalman filter with outlier gating, and the script
+compares raw vs filtered trajectory error, plus a crude ASCII map.
 
 Run:  python examples/device_tracking.py [--packets N]
 """
@@ -16,7 +16,9 @@ import argparse
 
 import numpy as np
 
-from repro import SpotFi, SpotFiConfig, SpotFiTracker
+from repro import SpotFi, SpotFiConfig
+from repro.errors import LocalizationError
+from repro.mobility.tracks import TrackManager
 from repro.testbed import collect_location, office_testbed, plan_route, walk_route
 from repro.testbed.collection import as_ap_trace_pairs
 
@@ -45,7 +47,7 @@ def ascii_map(testbed, truth, estimates, cols=72, rows=18):
     for p in truth:
         plot(p, "o")
     for p in estimates:
-        plot((p.x, p.y), "x")
+        plot(p, "x")
     border = "+" + "-" * cols + "+"
     body = "\n".join("|" + "".join(r) + "|" for r in canvas)
     return f"{border}\n{body}\n{border}\n  A = AP   o = true waypoint   x = SpotFi fix"
@@ -66,7 +68,7 @@ def main() -> None:
         rng=np.random.default_rng(0),
     )
 
-    tracker = SpotFiTracker(spotfi=spotfi, measurement_std_m=1.0, gate_sigmas=4.0)
+    tracks = TrackManager(measurement_std_m=1.0, gate_sigmas=4.0)
     rng = np.random.default_rng(args.seed)
     route = waypoints(testbed)
     fixes, raw_errors, filtered_errors = [], [], []
@@ -75,15 +77,20 @@ def main() -> None:
         recordings = collect_location(
             sim, point, testbed.aps, num_packets=args.packets, rng=rng
         )
-        sample = tracker.observe(
-            as_ap_trace_pairs(recordings), timestamp_s=float(i) * 2.0
-        )
-        raw_err = sample.raw.distance_to(point) if sample.raw else float("nan")
+        try:
+            raw = spotfi.locate(as_ap_trace_pairs(recordings)).position.as_tuple()
+        except LocalizationError:
+            raw = None
+        sample = tracks.observe("device", raw, float(i) * 2.0)
+        raw_err = np.hypot(raw[0] - point[0], raw[1] - point[1]) if raw else np.nan
+        filtered = sample.filtered
         filt_err = (
-            sample.filtered.distance_to(point) if sample.filtered else float("nan")
+            np.hypot(filtered[0] - point[0], filtered[1] - point[1])
+            if filtered
+            else np.nan
         )
-        if sample.filtered:
-            fixes.append(sample.filtered)
+        if filtered:
+            fixes.append(filtered)
         raw_errors.append(raw_err)
         filtered_errors.append(filt_err)
         gate = "" if sample.accepted else "  [gated out]"
@@ -102,8 +109,12 @@ def main() -> None:
         f"Kalman filtered: median {np.nanmedian(filtered_errors):.2f} m, "
         f"worst {np.nanmax(filtered_errors):.2f} m"
     )
-    vx, vy = tracker.velocity()
-    print(f"final velocity estimate: ({vx:+.2f}, {vy:+.2f}) m/s")
+    track = tracks.track_for("device")
+    if track is not None and track.filter.initialized:
+        vx, vy = track.filter.velocity
+        print(f"final velocity estimate: ({vx:+.2f}, {vy:+.2f}) m/s")
+    else:
+        print("final velocity estimate: none (the track closed)")
     print()
     print(ascii_map(testbed, route, fixes))
 

@@ -79,7 +79,7 @@ from repro.runtime import (
     create_executor,
 )
 from repro.server import FixEvent, SpotFiServer
-from repro.tracking import KalmanTrack2D, SpotFiTracker
+from repro.tracking import KalmanTrack2D
 from repro.wifi import CsiFrame, CsiTrace, Intel5300, OfdmGrid, UniformLinearArray
 
 __version__ = "1.0.0"
@@ -130,7 +130,6 @@ __all__ = [
     "SpotFi",
     "SpotFiConfig",
     "SpotFiServer",
-    "SpotFiTracker",
     "SteeringCache",
     "SteeringModel",
     "Tracer",

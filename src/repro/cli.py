@@ -46,21 +46,28 @@ apartment), ``small`` (a single room for quick tests).
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import signal
 import sys
+import tempfile
 from types import FrameType
-from typing import TYPE_CHECKING, List, Optional
-
-if TYPE_CHECKING:  # pragma: no cover - typing-only import
-    from repro.dist.protocol import WireFix
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.baselines.arraytrack import ArrayTrack
 from repro.core.pipeline import SpotFi, SpotFiConfig
 from repro.dist.chaos import SCENARIOS, format_report, gate, run_chaos
-from repro.errors import ReproError
+from repro.dist.protocol import WireFix, parse_bind
+from repro.dist.rollup import (
+    pull_shard_metrics,
+    rollup_exposition,
+    start_cluster_telemetry,
+)
+from repro.dist.router import ShardRouter
+from repro.dist.shard import ShardConfig, run_shard, start_shards
+from repro.errors import ConfigurationError, ReproError
 from repro.io.traces import LocationDataset, load_dataset, save_dataset
 from repro.obs import (
     JsonlSpanExporter,
@@ -79,10 +86,31 @@ from repro.runtime import (
     default_steering_cache,
 )
 from repro.server import FixEvent, SpotFiServer
-from repro.testbed.collection import as_ap_trace_pairs, collect_location
+from repro.testbed.collection import collect_location
 from repro.testbed.layout import TESTBEDS, Testbed, testbed_by_name
 from repro.wifi.csi import CsiFrame
 from repro.wifi.intel5300 import Intel5300
+
+#: A subcommand's handler: parsed arguments in, process exit code out.
+Handler = Callable[[argparse.Namespace], int]
+
+
+def _spotfi(args: argparse.Namespace, **kwargs: Any) -> SpotFi:
+    """The pipeline every localizing command runs.
+
+    Built from ``--testbed``, ``--packets`` and, where the command takes
+    it, ``--estimation``; ``kwargs`` pass the executor or tracer through.
+    """
+    return SpotFi(
+        Intel5300().grid(),
+        bounds=testbed_by_name(args.testbed).bounds,
+        config=SpotFiConfig(
+            packets_per_fix=args.packets,
+            estimation=getattr(args, "estimation", "music"),
+        ),
+        rng=np.random.default_rng(0),
+        **kwargs,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -98,7 +126,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 f"no target labeled {args.target_label!r}; try `floorplan`"
             )
         target = matches[0].position
-    elif args.x is not None and args.y is not None:
+    elif (args.x is None) != (args.y is None):
+        raise ReproError("--x and --y must be given together")
+    elif args.x is not None:
         target = (args.x, args.y)
     else:
         target = testbed.targets[0].position
@@ -129,19 +159,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_locate(args: argparse.Namespace) -> int:
     """Localize a saved dataset with SpotFi (optionally the baseline)."""
     dataset = load_dataset(args.dataset)
-    testbed = testbed_by_name(args.testbed)
-    grid = Intel5300().grid()
-    config = SpotFiConfig(
-        packets_per_fix=args.packets, estimation=args.estimation
-    )
     with create_executor(args.workers) as executor:
-        spotfi = SpotFi(
-            grid,
-            bounds=testbed.bounds,
-            config=config,
-            rng=np.random.default_rng(0),
-            executor=executor,
-        )
+        spotfi = _spotfi(args, executor=executor)
         fix = spotfi.locate(
             dataset.ap_trace_pairs(), estimator=args.estimator or None
         )
@@ -157,7 +176,9 @@ def cmd_locate(args: argparse.Namespace) -> int:
                 f"likelihood {r.direct.likelihood:.2f}, RSSI {r.rssi_dbm:.0f} dBm"
             )
     if args.arraytrack:
-        at = ArrayTrack(grid, bounds=testbed.bounds, packets_per_fix=args.packets)
+        at = ArrayTrack(
+            spotfi.grid, bounds=spotfi.bounds, packets_per_fix=args.packets
+        )
         result = at.locate(dataset.ap_trace_pairs())
         print(f"ArrayTrack fix : ({result.position.x:.2f}, {result.position.y:.2f}) m")
         if dataset.target is not None:
@@ -197,38 +218,15 @@ class _GracefulStop:
         self._previous = []
 
 
-def _print_wire_fix(fix: "WireFix", index: int) -> None:
-    """Render one router-delivered fix event line."""
-    suffix = " (downgraded)" if fix.downgraded else ""
-    if fix.ok:
-        print(
-            f"fix #{index} t={fix.timestamp_s:.2f}s source={fix.source!r}: "
-            f"({fix.x:.2f}, {fix.y:.2f}) m "
-            f"[{fix.num_aps} APs, {fix.shard}]{suffix}"
-        )
-    else:
-        print(
-            f"fix #{index} t={fix.timestamp_s:.2f}s source={fix.source!r}: "
-            f"FAILED [{fix.num_aps} APs, {fix.shard}]{suffix}"
-        )
-
-
-def _serve_sharded(args: argparse.Namespace) -> int:
-    """``serve --shards N``: replay through a router over shard workers."""
-    import tempfile
-
-    from repro.dist.rollup import rollup_exposition, start_cluster_telemetry
-    from repro.dist.router import ShardRouter
-    from repro.dist.shard import ShardConfig, start_shards
-
-    dataset = load_dataset(args.dataset)
-    if args.trace_dir:
-        os.makedirs(args.trace_dir, exist_ok=True)
-    config = ShardConfig(
-        shard_id="template",
+def _shard_config(
+    args: argparse.Namespace, shard_id: str, min_aps: int, **extra: Any
+) -> ShardConfig:
+    """The shard recipe ``serve --shards`` and ``shard`` build alike."""
+    return ShardConfig(
+        shard_id=shard_id,
         testbed=args.testbed,
         packets_per_fix=args.packets,
-        min_aps=min(args.min_aps, dataset.num_aps),
+        min_aps=min_aps,
         max_buffered_packets=args.max_buffer,
         overflow_policy=args.overflow_policy,
         max_burst_age_s=args.max_age,
@@ -237,12 +235,46 @@ def _serve_sharded(args: argparse.Namespace) -> int:
         downgrade_tier=args.downgrade_tier,
         trace_dir=args.trace_dir,
         sample_rate=args.sample_rate,
+        **extra,
     )
+
+
+def _serve_tracer(args: argparse.Namespace, service: str) -> Tracer:
+    """A ``--sample-rate`` tracer exporting to ``--trace-dir`` when set."""
+    exporters = []
+    if args.trace_dir:
+        os.makedirs(args.trace_dir, exist_ok=True)
+        exporters.append(
+            JsonlSpanExporter(os.path.join(args.trace_dir, f"{service}.jsonl"))
+        )
+    return Tracer(
+        ObsConfig(sample_rate=args.sample_rate),
+        exporters=exporters,
+        service=service,
+    )
+
+
+def _print_fix(
+    index: int,
+    timestamp_s: float,
+    source: str,
+    position: Optional[Tuple[float, float]],
+    tag: str,
+    downgraded: bool = False,
+) -> None:
+    """Print one fix event line; a ``None`` position is a failed fix."""
+    where = "FAILED" if position is None else "({:.2f}, {:.2f}) m".format(*position)
+    line = f"fix #{index} t={timestamp_s:.2f}s source={source!r}: {where} [{tag}]"
+    print(line + (" (downgraded)" if downgraded else ""))
+
+
+def _serve_sharded(args: argparse.Namespace) -> int:
+    """``serve --shards N``: replay through a router over shard workers."""
+    dataset = load_dataset(args.dataset)
+    config = _shard_config(args, "template", min(args.min_aps, dataset.num_aps))
     base_port = 0
     host = "127.0.0.1"
     if args.bind:
-        from repro.dist.protocol import parse_bind
-
         bind = parse_bind(args.bind)
         if bind.kind != "tcp":
             raise ReproError(
@@ -252,15 +284,18 @@ def _serve_sharded(args: argparse.Namespace) -> int:
         base_port, host = bind.port, bind.host
     sources = [f"target-{j:02d}" for j in range(max(1, args.sources))]
     num_fixes = 0
-    router_tracer: Optional[Tracer] = None
-    if args.trace_dir:
-        router_tracer = Tracer(
-            ObsConfig(sample_rate=args.sample_rate),
-            exporters=[
-                JsonlSpanExporter(os.path.join(args.trace_dir, "router.jsonl"))
-            ],
-            service="router",
-        )
+
+    def print_fixes(fixes: List[WireFix]) -> None:
+        nonlocal num_fixes
+        for fix in fixes:
+            num_fixes += 1
+            position = (fix.x, fix.y) if fix.ok else None
+            tag = f"{fix.num_aps} APs, {fix.shard}"
+            _print_fix(
+                num_fixes, fix.timestamp_s, fix.source, position, tag, fix.downgraded
+            )
+
+    router_tracer = _serve_tracer(args, "router") if args.trace_dir else None
     telemetry = None
     with tempfile.TemporaryDirectory(prefix="repro-serve-") as tmp:
         shards = start_shards(
@@ -313,17 +348,11 @@ def _serve_sharded(args: argparse.Namespace) -> int:
                                     source=source,
                                 ),
                             )
-                    for fix in router.take_fixes():
-                        num_fixes += 1
-                        _print_wire_fix(fix, num_fixes)
-            for fix in router.flush():
-                num_fixes += 1
-                _print_wire_fix(fix, num_fixes)
+                    print_fixes(router.take_fixes())
+            print_fixes(router.flush())
             replies = router.pull_metrics()
             stats = router.stats()
-            for fix in router.shutdown():
-                num_fixes += 1
-                _print_wire_fix(fix, num_fixes)
+            print_fixes(router.shutdown())
             print(f"{num_fixes} fix events; router counters: {stats['counters']}")
             if stats["dead_shards"]:
                 print(f"dead shards: {stats['dead_shards']}")
@@ -361,34 +390,13 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if args.shards > 1:
         return _serve_sharded(args)
     dataset = load_dataset(args.dataset)
-    testbed = testbed_by_name(args.testbed)
-    grid = Intel5300().grid()
-    config = SpotFiConfig(packets_per_fix=args.packets)
     metrics = RuntimeMetrics()
     tracer: Optional[Tracer] = None
     if args.trace_dir or args.http_port:
-        exporters = []
-        if args.trace_dir:
-            os.makedirs(args.trace_dir, exist_ok=True)
-            exporters.append(
-                JsonlSpanExporter(os.path.join(args.trace_dir, "server.jsonl"))
-            )
-        tracer = Tracer(
-            ObsConfig(sample_rate=args.sample_rate),
-            exporters=exporters,
-            service="server",
-        )
+        tracer = _serve_tracer(args, "server")
     with create_executor(args.workers, metrics=metrics) as executor:
-        spotfi = SpotFi(
-            grid,
-            bounds=testbed.bounds,
-            config=config,
-            rng=np.random.default_rng(0),
-            executor=executor,
-            tracer=tracer,
-        )
         server = SpotFiServer(
-            spotfi=spotfi,
+            spotfi=_spotfi(args, executor=executor, tracer=tracer),
             aps={f"ap{i}": a for i, a in enumerate(dataset.ap_arrays)},
             packets_per_fix=args.packets,
             min_aps=min(args.min_aps, dataset.num_aps),
@@ -414,24 +422,16 @@ def cmd_serve(args: argparse.Namespace) -> int:
         last_stamp = 0.0
 
         def _print_event(event: FixEvent) -> None:
-            suffix = " (downgraded)" if event.downgraded else ""
-            if event.ok:
-                print(
-                    f"fix #{num_events} t={event.timestamp_s:.2f}s "
-                    f"source={event.source!r}: "
-                    f"({event.fix.position.x:.2f}, {event.fix.position.y:.2f}) m "
-                    f"[{event.num_aps} APs, {event.estimator}]{suffix}"
-                )
-                if dataset.target is not None:
-                    print(
-                        f"  error vs truth: "
-                        f"{event.fix.error_to(dataset.target):.2f} m"
-                    )
-            else:
-                print(
-                    f"fix #{num_events} t={event.timestamp_s:.2f}s "
-                    f"source={event.source!r}: FAILED [{event.num_aps} APs]"
-                )
+            if event.fix is None:
+                tag = f"{event.num_aps} APs"
+                _print_fix(num_events, event.timestamp_s, event.source, None, tag)
+                return
+            position = event.fix.position.as_tuple()
+            tag = f"{event.num_aps} APs, {event.estimator}"
+            _print_fix(num_events, event.timestamp_s, event.source, position, tag,
+                       event.downgraded)
+            if dataset.target is not None:
+                print(f"  error vs truth: {event.fix.error_to(dataset.target):.2f} m")
 
         with _GracefulStop() as stop:
             for k in range(num_packets):
@@ -488,23 +488,12 @@ def cmd_shard(args: argparse.Namespace) -> int:
     router at them.  SIGINT/SIGTERM drains buffered bursts through
     ``flush()`` before exit.
     """
-    from repro.dist.shard import ShardConfig, run_shard
-
-    config = ShardConfig(
-        shard_id=args.id,
-        testbed=args.testbed,
-        packets_per_fix=args.packets,
-        min_aps=args.min_aps,
-        max_buffered_packets=args.max_buffer,
-        overflow_policy=args.overflow_policy,
-        max_burst_age_s=args.max_age,
+    config = _shard_config(
+        args,
+        args.id,
+        args.min_aps,
         breaker_threshold=args.breaker_threshold,
         breaker_recovery_s=args.breaker_recovery,
-        workers=args.workers,
-        estimator=args.estimator,
-        downgrade_tier=args.downgrade_tier,
-        trace_dir=args.trace_dir,
-        sample_rate=args.sample_rate,
         http_port=args.http_port,
     )
     print(f"shard {args.id!r} serving testbed {args.testbed!r} on {args.bind}")
@@ -538,24 +527,12 @@ def cmd_trace(args: argparse.Namespace) -> int:
     if not args.dataset:
         raise ReproError("a dataset is required unless --merge is given")
     dataset = load_dataset(args.dataset)
-    testbed = testbed_by_name(args.testbed)
-    grid = Intel5300().grid()
-    config = SpotFiConfig(
-        packets_per_fix=args.packets, estimation=args.estimation
-    )
     exporters = [JsonlSpanExporter(args.jsonl)] if args.jsonl else []
     tracer = Tracer(
         ObsConfig(capture_artifacts=args.artifacts), exporters=exporters
     )
     try:
-        spotfi = SpotFi(
-            grid,
-            bounds=testbed.bounds,
-            config=config,
-            rng=np.random.default_rng(0),
-            tracer=tracer,
-        )
-        fix = spotfi.locate(dataset.ap_trace_pairs())
+        fix = _spotfi(args, tracer=tracer).locate(dataset.ap_trace_pairs())
     finally:
         tracer.close()
     for root in tracer.finished_spans():
@@ -580,8 +557,6 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     (:func:`repro.dist.rollup.rollup_exposition`).
     """
     if args.from_shards:
-        from repro.dist.rollup import pull_shard_metrics, rollup_exposition
-
         specs = [s for s in args.from_shards.split(",") if s]
         replies = pull_shard_metrics(
             {f"shard{i}": spec for i, spec in enumerate(specs)}
@@ -596,18 +571,9 @@ def cmd_metrics(args: argparse.Namespace) -> int:
     if not args.dataset:
         raise ReproError("a dataset is required unless --from-shards is given")
     dataset = load_dataset(args.dataset)
-    testbed = testbed_by_name(args.testbed)
-    grid = Intel5300().grid()
-    config = SpotFiConfig(packets_per_fix=args.packets)
     metrics = RuntimeMetrics()
     with create_executor(args.workers, metrics=metrics) as executor:
-        spotfi = SpotFi(
-            grid,
-            bounds=testbed.bounds,
-            config=config,
-            rng=np.random.default_rng(0),
-            executor=executor,
-        )
+        spotfi = _spotfi(args, executor=executor)
         for _ in range(args.repeats):
             spotfi.locate(dataset.ap_trace_pairs())
     snapshot = metrics.snapshot()
@@ -630,8 +596,6 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         min_aps=args.min_aps,
     )
     if args.json:
-        import json
-
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     else:
         print(format_report(report))
@@ -666,6 +630,10 @@ def cmd_inspect(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 def render_floorplan(testbed: Testbed, cols: int = 90, rows: int = 26) -> str:
     """Rasterize walls, scatterers, APs and targets into ASCII art."""
+    if cols < 1 or rows < 1:
+        raise ConfigurationError(
+            f"a floorplan needs at least 1 column and 1 row, got {cols} x {rows}"
+        )
     x0, y0, x1, y1 = testbed.bounds
     canvas = [[" "] * cols for _ in range(rows)]
 
@@ -693,8 +661,9 @@ def render_floorplan(testbed: Testbed, cols: int = 90, rows: int = 26) -> str:
 def cmd_floorplan(args: argparse.Namespace) -> int:
     """Render a testbed floorplan as ASCII art."""
     testbed = testbed_by_name(args.testbed)
+    art = render_floorplan(testbed, cols=args.width)
     print(f"testbed '{testbed.name}': bounds {testbed.bounds}")
-    print(render_floorplan(testbed, cols=args.width))
+    print(art)
     print(f"{len(testbed.targets)} targets, {len(testbed.aps)} APs")
     return 0
 
@@ -702,297 +671,186 @@ def cmd_floorplan(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 # parser
 # ----------------------------------------------------------------------
+#: Every argument the CLI takes, declared once: its flag (or positional
+#: name) and its argparse keyword arguments.
+_OPTIONS: Dict[str, Dict[str, Any]] = {
+    "output": dict(help="output .npz path"),
+    "dataset": dict(help=".npz dataset path"),
+    "--testbed": dict(default="office", choices=sorted(TESTBEDS)),
+    "--target-label": dict(default="", help="target label (see floorplan)"),
+    "--x": dict(type=float, default=None),
+    "--y": dict(type=float, default=None),
+    "--packets": dict(type=int, default=40, help="packets per fix burst"),
+    "--seed": dict(type=int, default=0),
+    "--estimation": dict(default="music", choices=("music", "esprit")),
+    "--estimator": dict(
+        default="",
+        help="registry estimator or QoS tier (precise/balanced/coarse) for "
+        "every fix; empty runs the classic pipeline (see docs/ESTIMATORS.md)",
+    ),
+    "--arraytrack": dict(action="store_true", help="also run the baseline"),
+    "--workers": dict(
+        type=int,
+        default=1,
+        help="worker processes for per-packet estimation (1 = serial)",
+    ),
+    "--min-aps": dict(type=int, default=2),
+    "--track": dict(action="store_true", help="Kalman-filter the fixes"),
+    "--max-buffer": dict(
+        type=int,
+        default=0,
+        help="per-(source, AP) buffer capacity in packets (0 = unbounded)",
+    ),
+    "--overflow-policy": dict(default="drop-oldest", choices=OVERFLOW_POLICIES),
+    "--max-age": dict(
+        type=float,
+        default=0.0,
+        help="evict partial bursts idle for this many seconds (0 = never)",
+    ),
+    "--shards": dict(
+        type=int,
+        default=1,
+        help="shard worker processes behind a consistent-hash router "
+        "(1 = single in-process server)",
+    ),
+    "--bind": dict(
+        default="",
+        help="shard address, unix:/path/to.sock or tcp:HOST:PORT; serve "
+        "takes a tcp base address (shard i listens on PORT + i) and "
+        "defaults to Unix sockets in a temp dir",
+    ),
+    "--sources": dict(
+        type=int,
+        default=1,
+        help="fan the dataset out as this many synthetic targets "
+        "(sharded mode; exercises the hash ring)",
+    ),
+    "--downgrade-tier": dict(
+        default="",
+        help="serve fixes on this tier instead of shedding when a "
+        "breaker trips (e.g. coarse); empty keeps shedding",
+    ),
+    "--http-port": dict(
+        type=int,
+        default=0,
+        help="serve /metrics, /healthz and /traces on this port; 0 = off "
+        "(serve --shards: cluster rollup here, shard i on PORT+1+i)",
+    ),
+    "--sample-rate": dict(
+        type=float,
+        default=1.0,
+        help="head-sampling rate for traces in [0, 1] (a shard's "
+        "router-initiated traces carry their own verdict)",
+    ),
+    "--trace-dir": dict(
+        default="",
+        help="export spans as JSONL under this directory (one file per "
+        "process); merge afterwards with `trace --merge DIR`",
+    ),
+    "--ready-timeout": dict(
+        type=float,
+        default=30.0,
+        help="seconds to wait for each shard worker's ready handshake "
+        "before failing startup (sharded mode)",
+    ),
+    "--connect-timeout": dict(
+        type=float,
+        default=0.0,
+        help="router connect timeout per shard in seconds; failures "
+        "report 'connect timeout' instead of a generic send error "
+        "(0 = use the I/O timeout; sharded mode)",
+    ),
+    "--id": dict(default="shard0", help="shard id for fixes/metrics"),
+    "--breaker-threshold": dict(
+        type=int,
+        default=0,
+        help="consecutive AP failures that open its breaker (0 = off)",
+    ),
+    "--breaker-recovery": dict(
+        type=float,
+        default=10.0,
+        help="seconds an open breaker waits before half-opening",
+    ),
+    "--merge": dict(
+        default="",
+        help="merge the JSONL span exports under this directory into "
+        "cross-process trace trees instead of running a localization",
+    ),
+    "--artifacts": dict(
+        action="store_true",
+        help="capture downsampled pseudospectra and cluster stats into spans",
+    ),
+    "--jsonl": dict(default="", help="also export finished spans to this JSONL file"),
+    "--from-shards": dict(
+        default="",
+        help="comma-separated shard endpoints (unix:/... or tcp:...) to "
+        "pull and merge metrics from instead of a local run",
+    ),
+    "--repeats": dict(type=int, default=1, help="locate passes to accumulate"),
+    "--scenario": dict(default="mixed", choices=SCENARIOS),
+    "--bursts": dict(type=int, default=4, help="bursts to stream"),
+    "--min-success": dict(
+        type=float,
+        default=90.0,
+        help="fail (exit 1) when fix success rate %% is below this",
+    ),
+    "--json": dict(action="store_true", help="emit the report as JSON"),
+    "--width": dict(type=int, default=90),
+}
+
+#: Each subcommand: name, handler, help, the options it takes (names in
+#: :data:`_OPTIONS`), and its own defaults for them.
+_COMMANDS: List[Tuple[str, Handler, str, str, Dict[str, Any]]] = [
+    ("simulate", cmd_simulate, "simulate a collection burst to .npz",
+     "output --testbed --target-label --x --y --packets --seed", {}),
+    ("locate", cmd_locate, "localize a saved dataset",
+     "dataset --testbed --packets --estimation --estimator --arraytrack --workers",
+     {}),
+    ("serve", cmd_serve, "replay a dataset through the server",
+     "dataset --testbed --packets --min-aps --track --workers --max-buffer "
+     "--overflow-policy --max-age --shards --bind --sources --estimator "
+     "--downgrade-tier --http-port --sample-rate --trace-dir --ready-timeout "
+     "--connect-timeout", {"packets": 10}),
+    ("shard", cmd_shard, "run one dist shard worker in the foreground",
+     "--bind --id --testbed --packets --min-aps --workers --max-buffer "
+     "--overflow-policy --max-age --breaker-threshold --breaker-recovery "
+     "--estimator --downgrade-tier --http-port --sample-rate --trace-dir",
+     {"testbed": "small", "packets": 8}),
+    ("trace", cmd_trace, "localize with tracing, print the span tree",
+     "dataset --merge --testbed --packets --estimation --artifacts --jsonl", {}),
+    ("metrics", cmd_metrics, "localize and print the Prometheus-style exposition",
+     "dataset --from-shards --testbed --packets --repeats --workers", {}),
+    ("chaos", cmd_chaos, "run a seeded fault-injection scenario end to end",
+     "--scenario --testbed --seed --packets --bursts --min-aps --min-success --json",
+     {"testbed": "small", "seed": 7, "packets": 8}),
+    ("inspect", cmd_inspect, "summarize a saved dataset", "dataset", {}),
+    ("floorplan", cmd_floorplan, "render a testbed as ASCII", "--testbed --width", {}),
+]
+
+#: Keyword arguments that differ from :data:`_OPTIONS` in one subcommand.
+_OVERRIDES: Dict[Tuple[str, str], Dict[str, Any]] = {
+    ("shard", "--bind"): dict(required=True),
+    ("trace", "dataset"): dict(
+        nargs="?", default="", help=".npz dataset path (not needed with --merge)"
+    ),
+    ("metrics", "dataset"): dict(
+        nargs="?", default="", help=".npz dataset path (not needed with --from-shards)"
+    ),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser for all subcommands."""
     parser = argparse.ArgumentParser(
         prog="repro", description="SpotFi reproduction command line"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", help="simulate a collection burst to .npz")
-    p.add_argument("output", help="output .npz path")
-    p.add_argument("--testbed", default="office", choices=sorted(TESTBEDS))
-    p.add_argument("--target-label", default="", help="target label (see floorplan)")
-    p.add_argument("--x", type=float, default=None)
-    p.add_argument("--y", type=float, default=None)
-    p.add_argument("--packets", type=int, default=40)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("locate", help="localize a saved dataset")
-    p.add_argument("dataset", help=".npz dataset path")
-    p.add_argument("--testbed", default="office", choices=sorted(TESTBEDS))
-    p.add_argument("--packets", type=int, default=40)
-    p.add_argument("--estimation", default="music", choices=("music", "esprit"))
-    p.add_argument(
-        "--estimator",
-        default="",
-        help="registry estimator or QoS tier (precise/balanced/coarse); "
-        "empty runs the classic pipeline (see docs/ESTIMATORS.md)",
-    )
-    p.add_argument("--arraytrack", action="store_true", help="also run the baseline")
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes for per-packet estimation (1 = serial)",
-    )
-    p.set_defaults(func=cmd_locate)
-
-    p = sub.add_parser("serve", help="replay a dataset through the server")
-    p.add_argument("dataset", help=".npz dataset path")
-    p.add_argument("--testbed", default="office", choices=sorted(TESTBEDS))
-    p.add_argument("--packets", type=int, default=10, help="packets per fix burst")
-    p.add_argument("--min-aps", type=int, default=2)
-    p.add_argument("--track", action="store_true", help="Kalman-filter the fixes")
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes for per-packet estimation (1 = serial)",
-    )
-    p.add_argument(
-        "--max-buffer",
-        type=int,
-        default=0,
-        help="per-(source, AP) buffer capacity in packets (0 = unbounded)",
-    )
-    p.add_argument(
-        "--overflow-policy", default="drop-oldest", choices=OVERFLOW_POLICIES
-    )
-    p.add_argument(
-        "--max-age",
-        type=float,
-        default=0.0,
-        help="evict partial bursts idle for this many seconds (0 = never)",
-    )
-    p.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="shard worker processes behind a consistent-hash router "
-        "(1 = single in-process server)",
-    )
-    p.add_argument(
-        "--bind",
-        default="",
-        help="tcp:HOST:PORT base address for shard workers (shard i "
-        "listens on PORT + i); default: Unix sockets in a temp dir",
-    )
-    p.add_argument(
-        "--sources",
-        type=int,
-        default=1,
-        help="fan the dataset out as this many synthetic targets "
-        "(sharded mode; exercises the hash ring)",
-    )
-    p.add_argument(
-        "--estimator",
-        default="",
-        help="default estimator or QoS tier for every fix "
-        "(empty = classic pipeline)",
-    )
-    p.add_argument(
-        "--downgrade-tier",
-        default="",
-        help="serve fixes on this tier instead of shedding when a "
-        "breaker trips (e.g. coarse); empty keeps shedding",
-    )
-    p.add_argument(
-        "--http-port",
-        type=int,
-        default=0,
-        help="serve /metrics, /healthz and /traces on this port while "
-        "replaying (sharded mode: cluster rollup here, shard i on "
-        "PORT+1+i); 0 = off",
-    )
-    p.add_argument(
-        "--sample-rate",
-        type=float,
-        default=1.0,
-        help="head-sampling rate for traces in [0, 1]; applies to the "
-        "server tracer (or router + shards with --shards)",
-    )
-    p.add_argument(
-        "--trace-dir",
-        default="",
-        help="export spans as JSONL under this directory (one file per "
-        "process); merge afterwards with `trace --merge DIR`",
-    )
-    p.add_argument(
-        "--ready-timeout",
-        type=float,
-        default=30.0,
-        help="seconds to wait for each shard worker's ready handshake "
-        "before failing startup (sharded mode)",
-    )
-    p.add_argument(
-        "--connect-timeout",
-        type=float,
-        default=0.0,
-        help="router connect timeout per shard in seconds; failures "
-        "report 'connect timeout' instead of a generic send error "
-        "(0 = use the I/O timeout; sharded mode)",
-    )
-    p.set_defaults(func=cmd_serve)
-
-    p = sub.add_parser(
-        "shard", help="run one dist shard worker in the foreground"
-    )
-    p.add_argument(
-        "--bind", required=True, help="unix:/path/to.sock or tcp:HOST:PORT"
-    )
-    p.add_argument("--id", default="shard0", help="shard id for fixes/metrics")
-    p.add_argument("--testbed", default="small", choices=sorted(TESTBEDS))
-    p.add_argument("--packets", type=int, default=8, help="packets per fix burst")
-    p.add_argument("--min-aps", type=int, default=2)
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes for per-packet estimation (1 = serial)",
-    )
-    p.add_argument(
-        "--max-buffer",
-        type=int,
-        default=0,
-        help="per-(source, AP) buffer capacity in packets (0 = unbounded)",
-    )
-    p.add_argument(
-        "--overflow-policy", default="drop-oldest", choices=OVERFLOW_POLICIES
-    )
-    p.add_argument(
-        "--max-age",
-        type=float,
-        default=0.0,
-        help="evict partial bursts idle for this many seconds (0 = never)",
-    )
-    p.add_argument(
-        "--breaker-threshold",
-        type=int,
-        default=0,
-        help="consecutive AP failures that open its breaker (0 = off)",
-    )
-    p.add_argument(
-        "--breaker-recovery",
-        type=float,
-        default=10.0,
-        help="seconds an open breaker waits before half-opening",
-    )
-    p.add_argument(
-        "--estimator",
-        default="",
-        help="default estimator or QoS tier for every fix "
-        "(empty = classic pipeline)",
-    )
-    p.add_argument(
-        "--downgrade-tier",
-        default="",
-        help="serve fixes on this tier instead of shedding when a "
-        "breaker trips (e.g. coarse); empty keeps shedding",
-    )
-    p.add_argument(
-        "--http-port",
-        type=int,
-        default=0,
-        help="serve this shard's /metrics, /healthz and /traces on "
-        "this port; 0 = off",
-    )
-    p.add_argument(
-        "--sample-rate",
-        type=float,
-        default=1.0,
-        help="head-sampling rate for shard-local trace roots in [0, 1] "
-        "(router-initiated traces carry their own verdict)",
-    )
-    p.add_argument(
-        "--trace-dir",
-        default="",
-        help="export this shard's spans as JSONL under this directory",
-    )
-    p.set_defaults(func=cmd_shard)
-
-    p = sub.add_parser("trace", help="localize with tracing, print the span tree")
-    p.add_argument(
-        "dataset",
-        nargs="?",
-        default="",
-        help=".npz dataset path (not needed with --merge)",
-    )
-    p.add_argument(
-        "--merge",
-        default="",
-        help="merge the JSONL span exports under this directory into "
-        "cross-process trace trees instead of running a localization",
-    )
-    p.add_argument("--testbed", default="office", choices=sorted(TESTBEDS))
-    p.add_argument("--packets", type=int, default=40)
-    p.add_argument("--estimation", default="music", choices=("music", "esprit"))
-    p.add_argument(
-        "--artifacts",
-        action="store_true",
-        help="capture downsampled pseudospectra and cluster stats into spans",
-    )
-    p.add_argument(
-        "--jsonl", default="", help="also export finished spans to this JSONL file"
-    )
-    p.set_defaults(func=cmd_trace)
-
-    p = sub.add_parser(
-        "metrics", help="localize and print the Prometheus-style exposition"
-    )
-    p.add_argument(
-        "dataset",
-        nargs="?",
-        default="",
-        help=".npz dataset path (not needed with --from-shards)",
-    )
-    p.add_argument(
-        "--from-shards",
-        default="",
-        help="comma-separated shard endpoints (unix:/... or tcp:...) to "
-        "pull and merge metrics from instead of a local run",
-    )
-    p.add_argument("--testbed", default="office", choices=sorted(TESTBEDS))
-    p.add_argument("--packets", type=int, default=40)
-    p.add_argument(
-        "--repeats", type=int, default=1, help="locate passes to accumulate"
-    )
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="worker processes for per-packet estimation (1 = serial)",
-    )
-    p.set_defaults(func=cmd_metrics)
-
-    p = sub.add_parser(
-        "chaos", help="run a seeded fault-injection scenario end to end"
-    )
-    p.add_argument("--scenario", default="mixed", choices=SCENARIOS)
-    p.add_argument("--testbed", default="small", choices=sorted(TESTBEDS))
-    p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--packets", type=int, default=8, help="packets per fix burst")
-    p.add_argument("--bursts", type=int, default=4, help="bursts to stream")
-    p.add_argument("--min-aps", type=int, default=2)
-    p.add_argument(
-        "--min-success",
-        type=float,
-        default=90.0,
-        help="fail (exit 1) when fix success rate %% is below this",
-    )
-    p.add_argument("--json", action="store_true", help="emit the report as JSON")
-    p.set_defaults(func=cmd_chaos)
-
-    p = sub.add_parser("inspect", help="summarize a saved dataset")
-    p.add_argument("dataset", help=".npz dataset path")
-    p.set_defaults(func=cmd_inspect)
-
-    p = sub.add_parser("floorplan", help="render a testbed as ASCII")
-    p.add_argument("--testbed", default="office", choices=sorted(TESTBEDS))
-    p.add_argument("--width", type=int, default=90)
-    p.set_defaults(func=cmd_floorplan)
-
+    for name, handler, help_text, options, defaults in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for option in options.split():
+            overrides = _OVERRIDES.get((name, option), {})
+            p.add_argument(option, **{**_OPTIONS[option], **overrides})
+        p.set_defaults(func=handler, **defaults)
     return parser
 
 

@@ -28,6 +28,7 @@ from repro.core.smoothing import SmoothingConfig
 from repro.core.steering import SteeringModel
 from repro.errors import (
     ClusteringError,
+    ConfigurationError,
     EstimationError,
     LocalizationError,
     ReproError,
@@ -103,6 +104,10 @@ class SpotFiConfig:
     grid_step_m: float = 0.25
     use_likelihood_weights: bool = True
     min_aps: int = 2
+
+    def __post_init__(self) -> None:
+        if self.packets_per_fix < 1:
+            raise ConfigurationError("packets_per_fix must be >= 1")
 
 
 @dataclass(frozen=True)

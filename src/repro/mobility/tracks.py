@@ -1,9 +1,8 @@
 """Explicit multi-target track lifecycle management.
 
-:class:`~repro.tracking.tracker.SpotFiTracker` keeps one implicit,
-immortal track per source string — fine for a scripted experiment, wrong
-for a serving plane where targets appear, dwell, and leave.
-:class:`TrackManager` makes the lifecycle explicit:
+Targets appear, dwell and leave, so a serving plane cannot keep one
+implicit, immortal track per source string.  :class:`TrackManager` makes
+the lifecycle explicit:
 
 * **birth**: the first fix for a source opens a *tentative* track; it is
   *confirmed* once ``confirm_hits`` of the last ``confirm_window``

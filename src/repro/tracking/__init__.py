@@ -1,12 +1,11 @@
 """Target tracking on top of SpotFi fixes.
 
 The paper's conclusion names "motion tracing" as the natural extension of
-SpotFi's techniques; this package provides it: a constant-velocity Kalman
-filter over position fixes with innovation gating, and a tracker that
-wires it to the SpotFi pipeline.
+SpotFi's techniques; this package provides its filter: a constant-velocity
+Kalman filter over position fixes with innovation gating.  Per-source
+track lifecycles live in :class:`repro.mobility.tracks.TrackManager`.
 """
 
 from repro.tracking.kalman import KalmanTrack2D
-from repro.tracking.tracker import SpotFiTracker, TrackPoint
 
-__all__ = ["KalmanTrack2D", "SpotFiTracker", "TrackPoint"]
+__all__ = ["KalmanTrack2D"]

@@ -5,7 +5,7 @@ import pytest
 
 from repro.channel.csi_model import ChannelSimulator
 from repro.core.pipeline import SpotFi, SpotFiConfig
-from repro.errors import LocalizationError
+from repro.errors import ConfigurationError, LocalizationError
 from repro.geom.floorplan import empty_room
 from repro.testbed.layout import small_testbed
 from repro.wifi.csi import CsiFrame, CsiTrace
@@ -74,6 +74,13 @@ class TestConfigBehaviour:
         report = spotfi.process_ap(testbed.aps[0], trace)
         assert report.usable
         assert max(e.packet_index for e in report.estimates) <= 4
+
+    @pytest.mark.parametrize("packets", [0, -3])
+    def test_packets_per_fix_below_one_rejected(self, packets):
+        # -3 would silently slice trace[:-3]; 0 would degrade every AP
+        # with a misleading "no path estimates to cluster".
+        with pytest.raises(ConfigurationError, match="packets_per_fix must be >= 1"):
+            SpotFiConfig(packets_per_fix=packets)
 
     def test_estimator_cache_reused(self, testbed, grid):
         spotfi = SpotFi(grid, bounds=testbed.bounds)

@@ -1,14 +1,18 @@
 """Tests for the multi-target track lifecycle manager."""
 
+import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
+from repro.core.pipeline import SpotFi, SpotFiConfig
+from repro.errors import ConfigurationError, LocalizationError
 from repro.mobility.tracks import (
     TRACK_CONFIRMED,
     TRACK_TENTATIVE,
     TrackManager,
 )
 from repro.runtime.metrics import RuntimeMetrics
+from repro.testbed.layout import small_testbed
+from repro.tracking.kalman import KalmanTrack2D
 
 
 def feed_line(manager, source, n, start=0.0, step=1.0, x0=0.0, dx=0.5):
@@ -133,3 +137,87 @@ class TestCheckpointRestore:
         dst = TrackManager(metrics=metrics)
         dst.restore(src.export_checkpoints())
         assert metrics.counter("track.resumed") == 1
+
+
+@pytest.fixture(scope="module")
+def scene():
+    tb = small_testbed()
+    sim = tb.simulator()
+    spotfi = SpotFi(
+        sim.grid,
+        bounds=tb.bounds,
+        config=SpotFiConfig(packets_per_fix=8),
+        rng=np.random.default_rng(0),
+    )
+    return tb, sim, spotfi
+
+
+def locate(scene, position, rng, aps=None):
+    """One 8-packet burst at ``position``: its SpotFi fix, or None."""
+    tb, sim, spotfi = scene
+    burst = [
+        (ap, sim.generate_trace(position, ap, 8, rng=rng))
+        for ap in (tb.aps if aps is None else aps)
+    ]
+    try:
+        return spotfi.locate(burst).position.as_tuple()
+    except LocalizationError:
+        return None
+
+
+class TestSpotFiFed:
+    """The manager fed end to end by per-burst SpotFi fixes."""
+
+    def test_tracks_moving_target(self, scene):
+        manager = TrackManager(measurement_std_m=0.8)
+        rng = np.random.default_rng(21)
+        waypoints = [(3.0 + 0.8 * t, 3.0 + 0.3 * t) for t in range(6)]
+        errors = []
+        for i, wp in enumerate(waypoints):
+            obs = manager.observe("target", locate(scene, wp, rng), float(i))
+            assert obs.filtered is not None
+            errors.append(np.hypot(obs.filtered[0] - wp[0], obs.filtered[1] - wp[1]))
+        assert np.median(errors) < 1.2
+        assert len(manager.history("target")) == 6
+
+    def test_velocity_estimate(self, scene):
+        manager = TrackManager(measurement_std_m=0.5, process_accel_std=0.1)
+        rng = np.random.default_rng(8)
+        for i in range(6):
+            position = locate(scene, (3.0 + 1.0 * i, 4.0), rng)
+            manager.observe("target", position, float(i))
+        vx, vy = manager.track_for("target").filter.velocity
+        assert vx == pytest.approx(1.0, abs=0.5)
+        assert abs(vy) < 0.5
+
+    def test_single_ap_burst_is_a_miss(self, scene):
+        tb = scene[0]
+        manager = TrackManager()
+        rng = np.random.default_rng(3)
+        position = locate(scene, (4.0, 4.0), rng, aps=tb.aps[:1])
+        assert position is None
+        obs = manager.observe("target", position, 0.0)
+        assert (obs.track_id, obs.filtered, obs.accepted) == ("", None, False)
+        assert manager.active() == []
+
+    def test_velocity_before_track_raises(self, scene):
+        tb = scene[0]
+        manager = TrackManager()
+        rng = np.random.default_rng(3)
+        manager.observe("target", locate(scene, (4.0, 4.0), rng, aps=tb.aps[:1]), 0.0)
+        # The failed fix opened no track, so there is no velocity to read;
+        # a filter that has seen no fix refuses to report one.
+        assert manager.track_for("target") is None
+        with pytest.raises(ConfigurationError):
+            KalmanTrack2D().velocity
+
+    def test_history_per_source(self, scene):
+        manager = TrackManager()
+        rng = np.random.default_rng(5)
+        manager.observe("phone", locate(scene, (4.0, 4.0), rng), 0.0)
+        manager.observe("phone", locate(scene, (4.2, 4.0), rng), 1.0)
+        manager.observe("laptop", locate(scene, (9.0, 5.0), rng), 0.0)
+        assert [t.source for t in manager.active()] == ["laptop", "phone"]
+        assert len(manager.history("phone")) == 2
+        assert len(manager.history("laptop")) == 1
+        assert manager.history("unknown") == []
