@@ -101,8 +101,7 @@ DEFAULT_MANIFEST = SeamManifest(
         # one fix attempt: the per-packet/per-AP estimation pipeline
         "repro.core.pipeline.SpotFi.locate",
         "repro.core.pipeline.locate_from_reports",
-        # pool task functions (also found via the map_ordered seam)
-        "repro.core.estimator.estimate_packet_task",
+        # pool task function (also found via the map_ordered seam)
         "repro.core.estimator.estimate_packet_safe",
         # every registered estimator's per-AP entry point (registry
         # indirection: resolved by name, not through the registry)
@@ -112,7 +111,6 @@ DEFAULT_MANIFEST = SeamManifest(
     ),
     worker_roots=(
         "repro.runtime.executor._ChunkRunner.__call__",
-        "repro.core.estimator.estimate_packet_task",
         "repro.core.estimator.estimate_packet_safe",
     ),
     dist_roots=(

@@ -28,20 +28,17 @@ and the ablation benchmark compares both.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.estimator import PathEstimate, estimate_packet_task
+from repro.core.estimator import PathEstimate
 from repro.core.music import MusicConfig, covariance, forward_backward_average
 from repro.core.sanitize import sanitize_csi
 from repro.core.smoothing import SmoothingConfig, smooth_csi
 from repro.core.steering import SteeringModel
 from repro.errors import EstimationError
 from repro.wifi.csi import CsiTrace, validate_csi_matrix
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.runtime.executor import Executor
 
 
 def _selection_indices(
@@ -165,27 +162,12 @@ class EspritEstimator:
         results.sort(key=lambda e: -e.power)
         return results
 
-    def estimate_trace(
-        self, trace: CsiTrace, executor: Optional["Executor"] = None
-    ) -> List[PathEstimate]:
-        """Estimates pooled over every packet of a trace.
-
-        ``executor`` mirrors :meth:`JointEstimator.estimate_trace` so the
-        pipeline can fan per-packet ESPRIT across workers; None keeps the
-        inline loop.
-        """
-        if executor is None:
-            estimates: List[PathEstimate] = []
-            for index, frame in enumerate(trace):
-                estimates.extend(self.estimate_packet(frame.csi, packet_index=index))
-            return estimates
-        tasks = [(self, frame.csi, index) for index, frame in enumerate(trace)]
-        # CSI is pickled once per task; acceptable at trace sizes, tracked
-        # by BENCH_dist.json.
-        per_packet = executor.map_ordered(  # repro: noqa REP013
-            estimate_packet_task, tasks, stage="estimate"
-        )
-        return [estimate for packet in per_packet for estimate in packet]
+    def estimate_trace(self, trace: CsiTrace) -> List[PathEstimate]:
+        """Estimates pooled over every packet of a trace."""
+        estimates: List[PathEstimate] = []
+        for index, frame in enumerate(trace):
+            estimates.extend(self.estimate_packet(frame.csi, packet_index=index))
+        return estimates
 
     # ------------------------------------------------------------------
     def _tof_from_omega(self, omega: complex) -> float:

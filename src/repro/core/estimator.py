@@ -8,7 +8,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -29,9 +29,6 @@ from repro.runtime.cache import default_steering_cache
 from repro.wifi.arrays import UniformLinearArray
 from repro.wifi.csi import CsiTrace, validate_csi_matrix
 from repro.wifi.ofdm import OfdmGrid
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from repro.runtime.executor import Executor
 
 
 @dataclass(frozen=True)
@@ -211,28 +208,12 @@ class JointEstimator:
     # ------------------------------------------------------------------
     # Traces
     # ------------------------------------------------------------------
-    def estimate_trace(
-        self, trace: CsiTrace, executor: Optional["Executor"] = None
-    ) -> List[PathEstimate]:
-        """Estimates pooled over every packet of a trace (Alg. 2 lines 2-8).
-
-        ``executor`` (a :class:`repro.runtime.executor.Executor`) fans the
-        per-packet MUSIC calls across workers with deterministic result
-        ordering; None keeps the historical inline loop.  Per-packet
-        estimation is pure, so every executor returns identical values.
-        """
-        if executor is None:
-            estimates: List[PathEstimate] = []
-            for index, frame in enumerate(trace):
-                estimates.extend(self.estimate_packet(frame.csi, packet_index=index))
-            return estimates
-        tasks = [(self, frame.csi, index) for index, frame in enumerate(trace)]
-        # CSI is pickled once per task; acceptable at trace sizes, tracked
-        # by BENCH_dist.json.
-        per_packet = executor.map_ordered(  # repro: noqa REP013
-            estimate_packet_task, tasks, stage="estimate"
-        )
-        return [estimate for packet in per_packet for estimate in packet]
+    def estimate_trace(self, trace: CsiTrace) -> List[PathEstimate]:
+        """Estimates pooled over every packet of a trace (Alg. 2 lines 2-8)."""
+        estimates: List[PathEstimate] = []
+        for index, frame in enumerate(trace):
+            estimates.extend(self.estimate_packet(frame.csi, packet_index=index))
+        return estimates
 
     def estimate_burst(self, trace: CsiTrace) -> List[PathEstimate]:
         """One MUSIC pass over a whole burst (pooled-covariance variant).
@@ -287,33 +268,22 @@ class JointEstimator:
         )
 
 
-def estimate_packet_task(
-    task: Tuple["JointEstimator", np.ndarray, int]
-) -> List[PathEstimate]:
-    """Executor task: one packet through one estimator.
-
-    ``task`` is ``(estimator, csi, packet_index)``.  Module-level so a
-    :class:`~repro.runtime.executor.ParallelExecutor` can pickle it into
-    worker processes; exceptions propagate (matching the inline loop).
-    """
-    estimator, csi, packet_index = task
-    return estimator.estimate_packet(csi, packet_index=packet_index)
-
-
 def estimate_packet_safe(
     task: Tuple["JointEstimator", np.ndarray, int]
 ) -> Union[List[PathEstimate], EstimationError]:
-    """Executor task that converts per-packet estimation failures to values.
+    """Executor task: one packet through one estimator, failures as values.
 
-    Used by the batched multi-AP fan-out in
-    :meth:`repro.core.pipeline.SpotFi.locate`, where one AP's
-    :class:`EstimationError` must mark only that AP unusable instead of
-    aborting the whole batch.  Structural errors (e.g.
-    :class:`~repro.errors.CsiShapeError`) still raise, exactly like the
-    serial path.
+    ``task`` is ``(estimator, csi, packet_index)``.  Module-level so a
+    :class:`~repro.runtime.executor.ParallelExecutor` can pickle it into
+    worker processes.  :meth:`repro.core.pipeline.SpotFi.process_aps`
+    maps it over every packet of every AP in one batch; returning an
+    :class:`EstimationError` instead of raising it lets that failure
+    mark only its own AP unusable.  Structural errors (e.g.
+    :class:`~repro.errors.CsiShapeError`) still raise and abort the map.
     """
+    estimator, csi, packet_index = task
     try:
-        return estimate_packet_task(task)
+        return estimator.estimate_packet(csi, packet_index=packet_index)
     except EstimationError as exc:
         return exc
 

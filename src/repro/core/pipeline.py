@@ -10,12 +10,13 @@ solver (line 12).
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.clustering import PathCluster, cluster_estimates
 from repro.core.direct_path import DirectPathEstimate, select_direct_path
+from repro.core.esprit import EspritEstimator
 from repro.core.estimator import (
     JointEstimator,
     PathEstimate,
@@ -108,6 +109,16 @@ class SpotFiConfig:
     def __post_init__(self) -> None:
         if self.packets_per_fix < 1:
             raise ConfigurationError("packets_per_fix must be >= 1")
+        for name, allowed in (
+            ("estimation", ("music", "esprit")),
+            ("clustering_method", ("gmm", "kmeans")),
+        ):
+            if getattr(self, name) not in allowed:
+                raise ConfigurationError(
+                    f"{name} must be one of {allowed}, got {getattr(self, name)!r}"
+                )
+        if not self.grid_step_m > 0:
+            raise ConfigurationError(f"grid_step_m must be > 0, got {self.grid_step_m}")
 
 
 @dataclass(frozen=True)
@@ -143,11 +154,6 @@ class ApReport:
         return self.direct is not None
 
 
-def _failure_text(exc: BaseException) -> str:
-    """One-line ``"ErrorType: detail"`` diagnostic for a degraded AP."""
-    return f"{type(exc).__name__}: {exc}"
-
-
 @dataclass(frozen=True)
 class SpotFiFix:
     """One localization fix: the result plus per-AP diagnostics.
@@ -181,6 +187,11 @@ class SpotFiFix:
 class SpotFi:
     """The SpotFi server: Algorithm 2 over (AP trace) collections.
 
+    Every fix takes one path: :meth:`process_aps` estimates every packet
+    of every AP in one executor batch and builds each AP's
+    :class:`ApReport`, then :meth:`locate_from_reports` (or a registry
+    estimator's ``fuse``) solves Eq. 9 over the usable quorum.
+
     Parameters
     ----------
     grid:
@@ -203,7 +214,7 @@ class SpotFi:
         fixes as serial.
     tracer:
         A :class:`repro.obs.Tracer` producing hierarchical spans
-        (``locate > ap[k] > sanitize|smooth|music|cluster > solve``)
+        (``locate > ap[k] > sanitize|smooth|music|esprit|cluster > solve``)
         with per-stage timings and attributes; defaults to the zero-cost
         :data:`~repro.obs.NOOP_TRACER`.  With a real tracer, per-packet
         estimation runs inline stage by stage (bypassing the executor)
@@ -247,161 +258,170 @@ class SpotFi:
                 num_antennas=array.num_antennas,
                 antenna_spacing_m=array.spacing_m,
             )
-            if self.config.estimation == "music":
-                estimator = JointEstimator(
-                    model=model,
-                    smoothing=self.config.smoothing,
-                    music=self.config.music,
-                    sanitize=self.config.sanitize,
-                )
-            elif self.config.estimation == "esprit":
-                from repro.core.esprit import EspritEstimator
-
-                estimator = EspritEstimator(
-                    model=model,
-                    smoothing=self.config.smoothing,
-                    music=self.config.music,
-                    sanitize=self.config.sanitize,
-                )
-            else:
-                raise EstimationError(
-                    f"unknown estimation method {self.config.estimation!r}; "
-                    "expected 'music' or 'esprit'"
-                )
-            self._estimators[key] = estimator
+            esprit = self.config.estimation == "esprit"
+            self._estimators[key] = (EspritEstimator if esprit else JointEstimator)(
+                model=model,
+                smoothing=self.config.smoothing,
+                music=self.config.music,
+                sanitize=self.config.sanitize,
+            )
         return self._estimators[key]
 
     def process_ap(self, array: UniformLinearArray, trace: CsiTrace) -> ApReport:
-        """Lines 2-10 for one AP: estimate, cluster, select direct path.
+        """Lines 2-10 for one AP: ``process_aps`` on a single pair."""
+        return self.process_aps([(array, trace)])[0]
 
-        Any :class:`~repro.errors.ReproError` the AP's estimation raises
-        (bad CSI, no peaks, an executor deadline miss) degrades this AP —
-        ``direct=None`` with ``failure`` recorded — instead of
-        propagating, so callers can proceed on the surviving quorum.
+    def process_aps(
+        self, ap_traces: Sequence[Tuple[UniformLinearArray, CsiTrace]]
+    ) -> Tuple[ApReport, ...]:
+        """Lines 1-11 for several APs: estimate, cluster, select direct paths.
+
+        Each trace is cut to ``config.packets_per_fix`` packets, and every
+        packet of every AP goes to the executor as one batch (see
+        :meth:`_estimate`).  With a recording tracer each AP instead runs
+        the inline per-stage path (see :meth:`_traced_ap_report`) so the
+        span tree covers every stage.
+
+        Failure isolation: any :class:`~repro.errors.ReproError` an AP's
+        estimation raises degrades only that AP — ``direct=None`` with
+        ``failure`` recorded — so callers can proceed on the surviving
+        quorum.  Per-packet :class:`EstimationError` values travel through
+        the batch as results; when the batched map itself raises (a
+        structural CSI error, a deadline miss), estimation re-runs one AP
+        at a time to find the AP that caused it.
         """
+        used_pairs = [
+            (array, trace[: self.config.packets_per_fix])
+            for array, trace in ap_traces
+        ]
         if self.tracer.enabled and self.tracer.recording:
-            return self._traced_ap_report(array, trace, 0)
-        used = trace[: self.config.packets_per_fix]
-        rssi = used.median_rssi_dbm()
+            return tuple(
+                self._traced_ap_report(array, used, k)
+                for k, (array, used) in enumerate(used_pairs)
+            )
         try:
-            estimates = self.estimator_for(array).estimate_trace(
-                used, executor=self.executor
-            )
-        except ReproError as exc:
-            return ApReport(
-                array=array,
-                direct=None,
-                rssi_dbm=rssi,
-                failure=_failure_text(exc),
-            )
-        return self._cluster_report(array, used, rssi, estimates)
+            outcomes = self._estimate(used_pairs)
+        except ReproError:
+            outcomes = []
+            for pair in used_pairs:
+                try:
+                    outcomes.extend(self._estimate([pair]))
+                except ReproError as exc:
+                    outcomes.append(exc)
+        return tuple(
+            self._ap_report(array, used, outcome)
+            for (array, used), outcome in zip(used_pairs, outcomes)
+        )
 
-    def _cluster_report(
+    def _estimate(
+        self, used_pairs: Sequence[Tuple[UniformLinearArray, CsiTrace]]
+    ) -> List[Union[List[PathEstimate], EstimationError]]:
+        """Lines 3-8 for every packet of ``used_pairs`` in one executor map.
+
+        Returns, per AP, its pooled estimates or the first failed packet's
+        :class:`EstimationError`.  Every failed packet is counted under
+        ``estimate.errors`` and ``estimate.errors.<kind>``.  A
+        :class:`~repro.errors.ReproError` the map raises propagates.
+        """
+        tasks = []
+        for array, used in used_pairs:
+            estimator = self.estimator_for(array)
+            tasks.extend((estimator, frame.csi, i) for i, frame in enumerate(used))
+        # Per-task CSI pickling: accepted at trace sizes; cost tracked by
+        # BENCH_dist.json.
+        results = self.executor.map_ordered(  # repro: noqa REP013
+            estimate_packet_safe, tasks, stage="estimate"
+        )
+        outcomes: List[Union[List[PathEstimate], EstimationError]] = []
+        start = 0
+        for _, used in used_pairs:
+            packets = results[start : start + len(used)]
+            start += len(used)
+            errors = [r for r in packets if isinstance(r, EstimationError)]
+            for exc in errors:
+                self.executor.metrics.record_error("estimate", kind=type(exc).__name__)
+            outcomes.append(
+                errors[0] if errors else [e for packet in packets for e in packet]
+            )
+        return outcomes
+
+    def _ap_report(
         self,
         array: UniformLinearArray,
         used: CsiTrace,
-        rssi: float,
-        estimates: List[PathEstimate],
+        outcome: Union[List[PathEstimate], ReproError],
     ) -> ApReport:
-        """Lines 9-10: cluster pooled estimates and select the direct path.
+        """Lines 9-10: the one place an :class:`ApReport` is built.
 
-        Always runs in the calling process so the shared clustering RNG
-        advances in AP order regardless of which executor produced the
-        estimates — that is what keeps parallel fixes identical to serial.
+        ``outcome`` is the AP's pooled estimates or the error that stopped
+        its estimation; an error, or a clustering / Eq. 8 failure, gives
+        a degraded report.  Always runs in the calling process so the
+        shared clustering RNG advances in AP order regardless of which
+        executor produced the estimates — that is what keeps parallel
+        fixes identical to serial.
         """
-        min_size = max(
-            self.config.min_cluster_size,
-            int(np.ceil(self.config.min_cluster_fraction * len(used))),
-        )
-        try:
-            clusters = cluster_estimates(
-                estimates,
-                num_clusters=self.config.num_clusters,
-                method=self.config.clustering_method,
-                rng=self._rng,
-                min_cluster_size=min_size,
+        rssi = used.median_rssi_dbm()
+        if not isinstance(outcome, ReproError):
+            min_size = max(
+                self.config.min_cluster_size,
+                int(np.ceil(self.config.min_cluster_fraction * len(used))),
             )
-            direct = select_direct_path(clusters, self.config.likelihood)
-        except (EstimationError, ClusteringError) as exc:
-            return ApReport(
-                array=array,
-                direct=None,
-                rssi_dbm=rssi,
-                failure=_failure_text(exc),
-            )
+            try:
+                clusters = cluster_estimates(
+                    outcome,
+                    num_clusters=self.config.num_clusters,
+                    method=self.config.clustering_method,
+                    rng=self._rng,
+                    min_cluster_size=min_size,
+                )
+                return ApReport(
+                    array=array,
+                    direct=select_direct_path(clusters, self.config.likelihood),
+                    rssi_dbm=rssi,
+                    estimates=tuple(outcome),
+                    clusters=tuple(clusters),
+                )
+            except (EstimationError, ClusteringError) as exc:
+                outcome = exc
         return ApReport(
             array=array,
-            direct=direct,
+            direct=None,
             rssi_dbm=rssi,
-            estimates=tuple(estimates),
-            clusters=tuple(clusters),
+            failure=f"{type(outcome).__name__}: {outcome}",
         )
 
     def _traced_ap_report(
-        self, array: UniformLinearArray, trace: CsiTrace, index: int
+        self, array: UniformLinearArray, used: CsiTrace, index: int
     ) -> ApReport:
-        """Lines 2-10 for one AP with per-stage spans.
+        """Lines 2-10 for one AP's ``used`` packets with per-stage spans.
 
         Runs the estimator stage by stage inline (no executor fan-out) so
-        sanitize/smooth/music each get an attributable wall-clock; the
+        sanitize/smooth/music each get an attributable wall-clock (ESPRIT
+        has no separable stages and gets one ``esprit`` span); the
         executor path cannot provide that because workers interleave
         whole packets.  Numerically identical to the untraced path.
         """
         tracer = self.tracer
-        capture = tracer.config.capture_artifacts
-        used = trace[: self.config.packets_per_fix]
-        rssi = used.median_rssi_dbm()
         estimator = self.estimator_for(array)
         with tracer.span(
             f"ap[{index}]",
             packets=len(used),
             num_antennas=array.num_antennas,
-            rssi_dbm=float(rssi),
+            rssi_dbm=float(used.median_rssi_dbm()),
         ) as ap_span:
             try:
-                with tracer.span("sanitize", packets=len(used)):
-                    sanitized = [estimator.stage_sanitize(f.csi) for f in used]
-                with tracer.span("smooth"):
-                    smoothed = [estimator.stage_smooth(c) for c in sanitized]
-                with tracer.span("music", packets=len(smoothed)) as music_span:
-                    estimates: List = []
-                    spectrum_sum = None
-                    aoa_grid = tof_grid = None
-                    for i, x in enumerate(smoothed):
-                        spectrum, aoa_grid, tof_grid = estimator.stage_music(x)
-                        estimates.extend(
-                            estimator.stage_peaks(
-                                spectrum, aoa_grid, tof_grid, packet_index=i
-                            )
-                        )
-                        if capture:
-                            spectrum_sum = (
-                                spectrum
-                                if spectrum_sum is None
-                                else spectrum_sum + spectrum
-                            )
-                    music_span.set("estimates", len(estimates))
-                    if capture and spectrum_sum is not None:
-                        music_span.set(
-                            "pseudospectrum",
-                            downsample_spectrum(
-                                spectrum_sum / len(smoothed),
-                                aoa_grid,
-                                tof_grid,
-                                tracer.config.artifact_max_bins,
-                            ),
-                        )
+                if isinstance(estimator, JointEstimator):
+                    estimates = self._traced_music(estimator, used)
+                else:
+                    with tracer.span("esprit", packets=len(used)) as esprit_span:
+                        estimates = estimator.estimate_trace(used)
+                        esprit_span.set("estimates", len(estimates))
             except ReproError as exc:
                 ap_span.set("estimation_error", str(exc))
                 ap_span.set("usable", False)
-                return ApReport(
-                    array=array,
-                    direct=None,
-                    rssi_dbm=rssi,
-                    failure=_failure_text(exc),
-                )
+                return self._ap_report(array, used, exc)
             with tracer.span("cluster", num_estimates=len(estimates)) as cl_span:
-                report = self._cluster_report(array, used, rssi, estimates)
+                report = self._ap_report(array, used, estimates)
                 if report.usable:
                     cl_span.set_many(
                         num_clusters=len(report.clusters),
@@ -412,7 +432,7 @@ class SpotFi:
                             for l in report.direct.all_likelihoods
                         ],
                     )
-                    if capture:
+                    if tracer.config.capture_artifacts:
                         cl_span.set(
                             "clusters",
                             cluster_summary(
@@ -421,6 +441,42 @@ class SpotFi:
                         )
             ap_span.set("usable", report.usable)
         return report
+
+    def _traced_music(
+        self, estimator: JointEstimator, used: CsiTrace
+    ) -> List[PathEstimate]:
+        """Lines 3-8 for one AP under ``sanitize``/``smooth``/``music`` spans."""
+        tracer = self.tracer
+        capture = tracer.config.capture_artifacts
+        with tracer.span("sanitize", packets=len(used)):
+            sanitized = [estimator.stage_sanitize(f.csi) for f in used]
+        with tracer.span("smooth"):
+            smoothed = [estimator.stage_smooth(c) for c in sanitized]
+        with tracer.span("music", packets=len(smoothed)) as music_span:
+            estimates: List[PathEstimate] = []
+            spectrum_sum = None
+            aoa_grid = tof_grid = None
+            for i, x in enumerate(smoothed):
+                spectrum, aoa_grid, tof_grid = estimator.stage_music(x)
+                estimates.extend(
+                    estimator.stage_peaks(spectrum, aoa_grid, tof_grid, packet_index=i)
+                )
+                if capture:
+                    spectrum_sum = (
+                        spectrum if spectrum_sum is None else spectrum_sum + spectrum
+                    )
+            music_span.set("estimates", len(estimates))
+            if capture and spectrum_sum is not None:
+                music_span.set(
+                    "pseudospectrum",
+                    downsample_spectrum(
+                        spectrum_sum / len(smoothed),
+                        aoa_grid,
+                        tof_grid,
+                        tracer.config.artifact_max_bins,
+                    ),
+                )
+        return estimates
 
     # ------------------------------------------------------------------
     # Fusion (Alg. 2 line 12)
@@ -443,9 +499,9 @@ class SpotFi:
 
         ``estimator`` selects a registered estimator (or QoS tier) from
         :mod:`repro.estimators` for this request.  ``None`` — and any
-        name resolving to this pipeline's own configuration — runs the
-        classic inline path, byte-identical to the historical behaviour;
-        anything else dispatches through the registry (see
+        name resolving to this pipeline's own configuration — runs
+        :meth:`process_aps` and :meth:`locate_from_reports`; anything
+        else dispatches through the registry (see
         :meth:`_locate_with_registry`).  Unknown names raise
         :class:`~repro.errors.UnknownEstimatorError`.
         """
@@ -454,14 +510,17 @@ class SpotFi:
             from repro.estimators import resolve_name
 
             name = resolve_name(estimator)
-        if name != self.default_estimator_name():
-            return self._locate_with_registry(name, ap_traces)
-        with self.tracer.span("locate", num_aps=len(ap_traces)) as span:
-            reports = self.process_aps(ap_traces)
-            fix = replace(self.locate_from_reports(reports), estimator=name)
+        registry = name != self.default_estimator_name()
+        attrs = {"estimator": name} if registry else {}
+        with self.tracer.span("locate", num_aps=len(ap_traces), **attrs) as span:
+            if registry:
+                fix = self._locate_with_registry(name, ap_traces)
+            else:
+                fix = self.locate_from_reports(self.process_aps(ap_traces))
+            fix = replace(fix, estimator=name)
             if span.recording:
                 span.set_many(
-                    usable_aps=sum(1 for r in reports if r.usable),
+                    usable_aps=len(fix.reports) - len(fix.degraded_aps),
                     degraded_aps=list(fix.degraded_aps),
                     position=[
                         round(float(fix.position.x), 4),
@@ -482,14 +541,10 @@ class SpotFi:
         timing (recorded by :func:`repro.estimators.timed_estimate`,
         which owns the clock — this module stays clock-free).  Fusion is
         delegated to the estimator's ``fuse`` after the same quorum
-        check as :meth:`locate_from_reports`.
+        check and under the same ``solve`` span as
+        :meth:`locate_from_reports`.
         """
-        from repro.estimators import (
-            EstimatorContext,
-            create,
-            timed_estimate,
-            to_report,
-        )
+        from repro.estimators import EstimatorContext, create, timed_estimate, to_report
 
         est = self._registry_estimators.get(name)
         if est is None:
@@ -498,143 +553,13 @@ class SpotFi:
             )
             est = create(name, context)
             self._registry_estimators[name] = est
-        with self.tracer.span(
-            "locate", num_aps=len(ap_traces), estimator=name
-        ) as span:
-            estimates = [
-                timed_estimate(est, array, trace, self.executor.metrics)
-                for array, trace in ap_traces
-            ]
-            reports = tuple(to_report(e) for e in estimates)
-            usable = [e for e in estimates if e.usable]
-            quorum = max(2, self.config.min_aps)
-            if len(usable) < quorum:
-                degraded = tuple(
-                    (i, r.failure or "unusable")
-                    for i, r in enumerate(reports)
-                    if not r.usable
-                )
-                exc = LocalizationError(
-                    f"estimator {name!r}: only {len(usable)} of "
-                    f"{len(reports)} APs produced usable paths (quorum "
-                    f"{quorum}); degraded: "
-                    + (
-                        "; ".join(f"ap[{i}] {why}" for i, why in degraded)
-                        or "none reported"
-                    )
-                )
-                exc.degraded_aps = degraded
-                raise exc
-            with self.tracer.span("solve", num_observations=len(usable)):
-                result = est.fuse(usable)
-            fix = SpotFiFix(result=result, reports=reports, estimator=name)
-            if span.recording:
-                span.set_many(
-                    usable_aps=len(usable),
-                    degraded_aps=list(fix.degraded_aps),
-                    position=[
-                        round(float(fix.position.x), 4),
-                        round(float(fix.position.y), 4),
-                    ],
-                )
-            return fix
-
-    def process_aps(
-        self, ap_traces: Sequence[Tuple[UniformLinearArray, CsiTrace]]
-    ) -> Tuple[ApReport, ...]:
-        """Lines 1-11 for several APs, fanning estimation across the executor.
-
-        With tracing enabled, each AP instead runs the inline per-stage
-        path (see :meth:`_traced_ap_report`) so the span tree covers
-        every stage.
-
-        Failure isolation: per-packet :class:`EstimationError` values are
-        already carried through the batch by
-        :func:`~repro.core.estimator.estimate_packet_safe`; when the
-        batched map itself raises a :class:`~repro.errors.ReproError`
-        (a structural CSI error, a deadline miss), estimation falls back
-        to one map per AP so the failure degrades only the AP that
-        caused it instead of aborting every AP's fix.
-        """
-        if self.tracer.enabled and self.tracer.recording:
-            return tuple(
-                self._traced_ap_report(array, trace, k)
-                for k, (array, trace) in enumerate(ap_traces)
-            )
-        prepared = []
-        tasks = []
-        for array, trace in ap_traces:
-            used = trace[: self.config.packets_per_fix]
-            estimator = self.estimator_for(array)
-            prepared.append((array, used, estimator))
-            for index, frame in enumerate(used):
-                tasks.append((estimator, frame.csi, index))
-        try:
-            # Per-task CSI pickling: accepted at trace sizes; cost tracked
-            # by BENCH_dist.json.
-            results = self.executor.map_ordered(  # repro: noqa REP013
-                estimate_packet_safe, tasks, stage="estimate"
-            )
-        except ReproError:
-            return tuple(
-                self._isolated_ap_report(array, used, estimator)
-                for array, used, estimator in prepared
-            )
-        reports = []
-        position = 0
-        for array, used, _ in prepared:
-            packet_results = results[position : position + len(used)]
-            position += len(used)
-            rssi = used.median_rssi_dbm()
-            errors = [r for r in packet_results if isinstance(r, EstimationError)]
-            if errors:
-                reports.append(
-                    ApReport(
-                        array=array,
-                        direct=None,
-                        rssi_dbm=rssi,
-                        failure=_failure_text(errors[0]),
-                    )
-                )
-                continue
-            estimates = [e for packet in packet_results for e in packet]
-            reports.append(self._cluster_report(array, used, rssi, estimates))
-        return tuple(reports)
-
-    def _isolated_ap_report(
-        self, array: UniformLinearArray, used: CsiTrace, estimator: JointEstimator
-    ) -> ApReport:
-        """Re-run one AP's estimation alone after a batched-map failure.
-
-        Duplicate work for the APs that would have succeeded, but only on
-        the failure path — the price of knowing *which* AP poisoned the
-        batch while still fixing from the survivors.
-        """
-        rssi = used.median_rssi_dbm()
-        tasks = [(estimator, frame.csi, index) for index, frame in enumerate(used)]
-        try:
-            # Per-task CSI pickling: accepted at trace sizes; this is the
-            # isolation/failure path anyway.
-            packet_results = self.executor.map_ordered(  # repro: noqa REP013
-                estimate_packet_safe, tasks, stage="estimate"
-            )
-        except ReproError as exc:
-            return ApReport(
-                array=array,
-                direct=None,
-                rssi_dbm=rssi,
-                failure=_failure_text(exc),
-            )
-        errors = [r for r in packet_results if isinstance(r, EstimationError)]
-        if errors:
-            return ApReport(
-                array=array,
-                direct=None,
-                rssi_dbm=rssi,
-                failure=_failure_text(errors[0]),
-            )
-        estimates = [e for packet in packet_results for e in packet]
-        return self._cluster_report(array, used, rssi, estimates)
+        estimates = [
+            timed_estimate(est, array, trace, self.executor.metrics)
+            for array, trace in ap_traces
+        ]
+        reports = [to_report(e) for e in estimates]
+        self._require_quorum(reports, f"estimator {name!r}: ")
+        return self._solve(reports, est.fuse, [e for e in estimates if e.usable])
 
     def locate_from_reports(self, reports: Sequence[ApReport]) -> SpotFiFix:
         """Fuse precomputed per-AP reports into a position fix.
@@ -642,11 +567,18 @@ class SpotFi:
         Degraded APs are dropped and the Eq. 9 solve runs on the
         surviving quorum, whose likelihood weights the solver
         renormalizes to mean 1 (the degraded APs' influence is
-        redistributed).  Raises :class:`LocalizationError` — with the
-        degraded APs attached as ``exc.degraded_aps``, a tuple of
-        ``(report_index, failure)`` pairs — when fewer than
-        ``max(2, config.min_aps)`` APs survive.
+        redistributed).  Raises :class:`LocalizationError` when fewer
+        than ``max(2, config.min_aps)`` APs survive (see
+        :meth:`_require_quorum`).
         """
+        self._require_quorum(reports)
+        localizer = Localizer(
+            bounds=self.bounds,
+            grid_step_m=self.config.grid_step_m,
+            aoa_weight=self.config.aoa_weight,
+            rssi_weight=self.config.rssi_weight,
+            use_likelihood_weights=self.config.use_likelihood_weights,
+        )
         observations = [
             ApObservation(
                 array=r.array,
@@ -657,32 +589,38 @@ class SpotFi:
             for r in reports
             if r.usable
         ]
+        return self._solve(reports, localizer.locate, observations)
+
+    def _require_quorum(self, reports: Sequence[ApReport], prefix: str = "") -> None:
+        """Raise :class:`LocalizationError` below ``max(2, config.min_aps)``.
+
+        The degraded APs ride along as ``exc.degraded_aps``, a tuple of
+        ``(report_index, failure)`` pairs.
+        """
+        usable = sum(1 for r in reports if r.usable)
         quorum = max(2, self.config.min_aps)
-        if len(observations) < quorum:
-            degraded = tuple(
-                (i, r.failure or "unusable")
-                for i, r in enumerate(reports)
-                if not r.usable
-            )
-            exc = LocalizationError(
-                f"only {len(observations)} of {len(reports)} APs produced "
-                f"usable direct paths (quorum {quorum}); degraded: "
-                + (
-                    "; ".join(f"ap[{i}] {why}" for i, why in degraded)
-                    or "none reported"
-                )
-            )
-            exc.degraded_aps = degraded
-            raise exc
-        localizer = Localizer(
-            bounds=self.bounds,
-            grid_step_m=self.config.grid_step_m,
-            aoa_weight=self.config.aoa_weight,
-            rssi_weight=self.config.rssi_weight,
-            use_likelihood_weights=self.config.use_likelihood_weights,
+        if usable >= quorum:
+            return
+        degraded = tuple(
+            (i, r.failure or "unusable") for i, r in enumerate(reports) if not r.usable
         )
+        exc = LocalizationError(
+            f"{prefix}only {usable} of {len(reports)} APs produced usable "
+            f"direct paths (quorum {quorum}); degraded: "
+            + ("; ".join(f"ap[{i}] {why}" for i, why in degraded) or "none reported")
+        )
+        exc.degraded_aps = degraded
+        raise exc
+
+    def _solve(
+        self,
+        reports: Sequence[ApReport],
+        fuse: Callable[[list], LocalizationResult],
+        observations: list,
+    ) -> SpotFiFix:
+        """Line 12: ``fuse`` the usable APs under a ``solve`` span."""
         with self.tracer.span("solve", num_observations=len(observations)) as span:
-            result = localizer.locate(observations)
+            result = fuse(observations)
             if span.recording:
                 span.set_many(
                     objective=float(result.objective),

@@ -27,6 +27,7 @@ CANONICAL_STAGES: FrozenSet[str] = frozenset(
         "sanitize",  # Algorithm 1 CSI phase cleanup, per AP
         "smooth",  # smoothed CSI matrix construction, per AP
         "music",  # 2D MUSIC pseudospectrum + peak search, per AP
+        "esprit",  # grid-free ESPRIT estimation of every packet, per AP
         "cluster",  # Eq. 8-9 path clustering / direct-path pick, per AP
         "solve",  # localization least-squares over AP reports
         # server (repro.server)

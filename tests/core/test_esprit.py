@@ -8,7 +8,7 @@ from repro.channel.paths import PropagationPath
 from repro.core.esprit import EspritEstimator, _selection_indices
 from repro.core.pipeline import SpotFi, SpotFiConfig
 from repro.core.steering import SteeringModel
-from repro.errors import EstimationError
+from repro.errors import ConfigurationError, EstimationError
 from repro.testbed.layout import small_testbed
 from repro.wifi.csi import CsiTrace
 
@@ -106,10 +106,6 @@ class TestPipelineIntegration:
         fix = spotfi.locate(traces)
         assert fix.error_to(target) < 2.5
 
-    def test_unknown_estimation_rejected(self, grid):
-        tb = small_testbed()
-        spotfi = SpotFi(
-            grid, bounds=tb.bounds, config=SpotFiConfig(estimation="fft")
-        )
-        with pytest.raises(EstimationError):
-            spotfi.estimator_for(tb.aps[0])
+    def test_unknown_estimation_rejected(self):
+        with pytest.raises(ConfigurationError, match="estimation must be one of"):
+            SpotFiConfig(estimation="fft")

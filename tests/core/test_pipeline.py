@@ -7,6 +7,8 @@ from repro.channel.csi_model import ChannelSimulator
 from repro.core.pipeline import SpotFi, SpotFiConfig
 from repro.errors import ConfigurationError, LocalizationError
 from repro.geom.floorplan import empty_room
+from repro.obs import NOOP_TRACER, Tracer
+from repro.runtime import SerialExecutor
 from repro.testbed.layout import small_testbed
 from repro.wifi.csi import CsiFrame, CsiTrace
 
@@ -82,6 +84,19 @@ class TestConfigBehaviour:
         with pytest.raises(ConfigurationError, match="packets_per_fix must be >= 1"):
             SpotFiConfig(packets_per_fix=packets)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"clustering_method": "dbscan"}, "clustering_method must be one of"),
+            ({"grid_step_m": 0.0}, "grid_step_m must be > 0"),
+            ({"grid_step_m": -0.25}, "grid_step_m must be > 0"),
+            ({"grid_step_m": float("nan")}, "grid_step_m must be > 0"),
+        ],
+    )
+    def test_bad_values_rejected_at_construction(self, kwargs, message):
+        with pytest.raises(ConfigurationError, match=message):
+            SpotFiConfig(**kwargs)
+
     def test_estimator_cache_reused(self, testbed, grid):
         spotfi = SpotFi(grid, bounds=testbed.bounds)
         e1 = spotfi.estimator_for(testbed.aps[0])
@@ -128,3 +143,112 @@ class TestConfigBehaviour:
         )
         fix = spotfi.locate(traces)
         assert fix.error_to(target) < 1.5
+
+
+# ----------------------------------------------------------------------
+# One fix path: traced/untraced, single/batched and pipeline/registry
+# calls must agree.
+# ----------------------------------------------------------------------
+FAILING_AP = 3
+PACKETS = 5
+
+
+@pytest.fixture(scope="module")
+def one_failing_ap(testbed):
+    """Four APs; the last one sends only zero CSI, which fails estimation."""
+    sim = testbed.simulator()
+    rng = np.random.default_rng(11)
+    target = testbed.targets[0].position
+    pairs = [
+        (ap, sim.generate_trace(target, ap, PACKETS, rng=rng))
+        for ap in testbed.aps[:4]
+    ]
+    zeros = CsiTrace(
+        [CsiFrame(csi=np.zeros((3, 30), complex), rssi_dbm=-60.0)] * PACKETS
+    )
+    pairs[FAILING_AP] = (pairs[FAILING_AP][0], zeros)
+    return sim, pairs
+
+
+def make_spotfi(testbed, sim, estimation, **kwargs):
+    return SpotFi(
+        sim.grid,
+        bounds=testbed.bounds,
+        config=SpotFiConfig(packets_per_fix=PACKETS, estimation=estimation),
+        rng=np.random.default_rng(0),
+        **kwargs,
+    )
+
+
+def report_summary(report):
+    if not report.usable:
+        return (report.failure,)
+    d = report.direct
+    return (d.aoa_deg, d.tof_s, d.likelihood, report.failure)
+
+
+@pytest.mark.parametrize("estimation", ["music", "esprit"])
+class TestOneFixPath:
+    def test_traced_fix_matches_untraced(self, testbed, one_failing_ap, estimation):
+        sim, pairs = one_failing_ap
+        tracer = Tracer()
+        traced = make_spotfi(testbed, sim, estimation, tracer=tracer).locate(pairs)
+        plain = make_spotfi(testbed, sim, estimation, tracer=NOOP_TRACER).locate(
+            pairs
+        )
+        assert traced.position == plain.position
+        assert traced.degraded_aps == plain.degraded_aps == (FAILING_AP,)
+        assert [report_summary(r) for r in traced.reports] == [
+            report_summary(r) for r in plain.reports
+        ]
+        assert "EstimationError" in traced.reports[FAILING_AP].failure
+        (root,) = tracer.finished_spans()
+        assert root.name == "locate"
+        assert root.attributes["usable_aps"] == 3
+        assert root.attributes["degraded_aps"] == [FAILING_AP]
+        stages = root.find("music" if estimation == "music" else "esprit")
+        assert [s.status for s in stages].count("error") == 1
+        assert len(stages) == len(pairs)
+
+    @pytest.mark.parametrize("index", [0, FAILING_AP])
+    def test_process_ap_is_process_aps_of_one(
+        self, testbed, one_failing_ap, estimation, index
+    ):
+        sim, pairs = one_failing_ap
+        single = make_spotfi(testbed, sim, estimation).process_ap(*pairs[index])
+        batched = make_spotfi(testbed, sim, estimation).process_aps([pairs[index]])
+        assert single == batched[0]
+
+    def test_every_failed_packet_counted(self, testbed, one_failing_ap, estimation):
+        sim, pairs = one_failing_ap
+        for run in (
+            lambda spotfi: spotfi.locate(pairs),
+            lambda spotfi: spotfi.process_ap(*pairs[FAILING_AP]),
+        ):
+            executor = SerialExecutor()
+            run(make_spotfi(testbed, sim, estimation, executor=executor))
+            metrics = executor.metrics
+            assert metrics.counter("estimate.errors") == PACKETS
+            assert metrics.counter("estimate.errors.EstimationError") == PACKETS
+
+
+class TestRegistrySpans:
+    def test_registry_solve_span_matches_pipeline(self, testbed, one_failing_ap):
+        sim, pairs = one_failing_ap
+        tracer = Tracer()
+        spotfi = make_spotfi(testbed, sim, "music", tracer=tracer)
+        spotfi.locate(pairs)
+        fix = spotfi.locate(pairs, estimator="tof")
+        assert fix.estimator == "tof"
+        pipeline_root, registry_root = tracer.finished_spans()
+        assert registry_root.attributes["estimator"] == "tof"
+        (pipeline_solve,) = pipeline_root.find("solve")
+        (registry_solve,) = registry_root.find("solve")
+        assert set(registry_solve.attributes) == set(pipeline_solve.attributes)
+        assert set(registry_solve.attributes) >= {
+            "num_observations",
+            "objective",
+            "iterations",
+            "mean_abs_aoa_residual_deg",
+        }
+        assert registry_root.attributes["degraded_aps"] == list(fix.degraded_aps)

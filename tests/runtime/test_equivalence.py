@@ -9,7 +9,6 @@ without revalidating the numerics.
 import numpy as np
 import pytest
 
-from repro.core.estimator import JointEstimator
 from repro.core.pipeline import SpotFi, SpotFiConfig
 from repro.runtime import ParallelExecutor, SerialExecutor
 from repro.testbed.layout import small_testbed
@@ -74,17 +73,6 @@ class TestEquivalence:
         explicit_fix = make_spotfi(tb, sim, SerialExecutor()).locate(pairs)
         assert default_fix.position.x == explicit_fix.position.x
         assert default_fix.position.y == explicit_fix.position.y
-
-    def test_estimate_trace_executor_equivalence(self, workload):
-        tb, sim, pairs = workload
-        array, trace = pairs[0]
-        estimator = JointEstimator.for_intel5300(array, sim.grid)
-        inline = estimator.estimate_trace(trace)
-        serial = estimator.estimate_trace(trace, executor=SerialExecutor())
-        assert serial == inline
-        with ParallelExecutor(workers=2) as ex:
-            parallel = estimator.estimate_trace(trace, executor=ex)
-        assert parallel == inline
 
     def test_executor_metrics_count_packets(self, workload):
         tb, sim, pairs = workload
