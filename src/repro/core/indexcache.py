@@ -4,7 +4,9 @@
 code rebuild the same small arrays on every packet — flagged by flow
 rule REP011 because the shapes depend only on the (fixed) array
 geometry and grid config, never on the data.  These helpers memoize
-them once per distinct argument tuple.
+them once per distinct argument tuple.  The same holds per fix for the
+Eq. 9 global grid: its cell centres and each AP's per-cell geometry
+depend only on the bounds, the step and the AP's pose.
 
 Returned arrays are the cached instances with ``writeable=False``: a
 caller that tries to mutate one raises immediately instead of silently
@@ -20,7 +22,7 @@ flag it.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -47,3 +49,60 @@ def grid_range(start: float, stop: float, step: float) -> np.ndarray:
     out = np.arange(start, stop, step)
     out.setflags(write=False)
     return out
+
+
+@lru_cache(maxsize=16)
+def cell_centres(bounds: Tuple[float, float, float, float], step: float) -> np.ndarray:
+    """(G, 2) centres of the ``step``-sized cells tiling ``bounds``.
+
+    Row-major over x then y, so cell ``g`` is ``(xs[g // ny], ys[g % ny])``;
+    cached and read-only.
+    """
+    x0, y0, x1, y1 = bounds
+    xs = grid_range(x0 + step / 2, x1, step)
+    ys = grid_range(y0 + step / 2, y1, step)
+    gx, gy = np.meshgrid(xs, ys, indexing="ij")
+    out = np.stack([gx.ravel(), gy.ravel()], axis=1)
+    out.setflags(write=False)
+    return out
+
+
+def bearing_geometry(
+    candidates: np.ndarray, positions: np.ndarray, normals: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Per (candidate, AP): distance (m, floored at 1 mm) and predicted AoA.
+
+    ``candidates`` is (G, 2), ``positions`` (R, 2) and ``normals`` (R,)
+    the APs' array normals (deg); the AoA is the bearing from the AP to
+    the candidate relative to its normal, wrapped to [-180, 180].  Every
+    output element depends only on its own candidate and AP, so a column
+    computed for one AP equals the same column computed among many.
+    """
+    delta = candidates[:, None, :] - positions[None, :, :]  # (G, R, 2)
+    dist = np.maximum(np.linalg.norm(delta, axis=2), 1e-3)  # (G, R)
+    bearing = np.degrees(np.arctan2(delta[..., 1], delta[..., 0]))  # (G, R)
+    pred_aoa = (bearing - normals[None, :] + 180.0) % 360.0 - 180.0
+    return dist, pred_aoa
+
+
+@lru_cache(maxsize=64)
+def ap_grid_geometry(
+    bounds: Tuple[float, float, float, float],
+    step: float,
+    position: Tuple[float, float],
+    normal_deg: float,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """One AP's Eq. 9 columns over :func:`cell_centres`, cached and read-only.
+
+    Returns the log-distance regressor ``-10 log10(d)`` and the predicted
+    AoA (deg) at every cell: both depend on the grid and the AP's pose,
+    never on a fix's measurements.
+    """
+    dist, pred_aoa = bearing_geometry(
+        cell_centres(bounds, step), np.array([position]), np.array([normal_deg])
+    )
+    x = -10.0 * np.log10(dist[:, 0])
+    aoa = pred_aoa[:, 0]
+    x.setflags(write=False)
+    aoa.setflags(write=False)
+    return x, aoa

@@ -2,7 +2,11 @@
 
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +24,24 @@ class TestImports:
     @pytest.mark.parametrize("module_name", ALL_MODULES)
     def test_every_module_imports(self, module_name):
         importlib.import_module(module_name)
+
+    def test_import_loads_no_scipy(self):
+        # scipy is a test-only dependency: the package must import (and
+        # fix) with numpy alone.
+        probe = (
+            "import sys, repro; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        src = str(Path(repro.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert out.stdout.strip() == "[]"
 
     def test_top_level_all_resolves(self):
         for name in repro.__all__:

@@ -301,9 +301,9 @@ class TestLocalizationProperties:
         st.floats(min_value=1.0, max_value=11.0),
     )
 
-    @given(target=target_st)
+    @given(target=target_st, aoa_only=st.booleans())
     @settings(max_examples=20, deadline=None)
-    def test_perfect_observations_recovered(self, target):
+    def test_perfect_observations_recovered(self, target, aoa_only):
         from repro.channel.pathloss import LogDistancePathLoss
         from repro.core.localization import ApObservation, Localizer
         from repro.wifi.arrays import UniformLinearArray
@@ -323,8 +323,9 @@ class TestLocalizationProperties:
             )
             for ap in aps
         ]
-        result = Localizer(bounds=(0.0, 0.0, 20.0, 12.0)).locate(obs)
-        assert result.error_to(target) < 0.15
+        localizer = Localizer(bounds=(0.0, 0.0, 20.0, 12.0))
+        result = localizer.locate_aoa_only(obs) if aoa_only else localizer.locate(obs)
+        assert result.error_to(target) < 0.01
 
 
 class TestCdfProperties:
