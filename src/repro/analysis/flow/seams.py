@@ -121,7 +121,7 @@ DEFAULT_MANIFEST = SeamManifest(
         # steering/grid construction is amortized behind the process-
         # local SteeringCache; its callees do not run per packet
         "repro.runtime.cache.SteeringCache.grids_for",
-        # lru_cached index/identity/grid helpers allocate on miss only
+        # lru_cached index/grid helpers allocate on miss only
         "repro.core.indexcache.*",
     ),
     raw_bytes_ok=(

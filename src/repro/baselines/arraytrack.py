@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.baselines.music_aoa import MusicAoaConfig, MusicAoaEstimator
 from repro.core.localization import ApObservation, LocalizationResult, Localizer
+from repro.core.peaks import interior_maxima
 from repro.core.steering import SteeringModel
 from repro.errors import EstimationError, LocalizationError
 from repro.wifi.arrays import UniformLinearArray
@@ -30,11 +31,16 @@ from repro.wifi.ofdm import OfdmGrid
 
 @dataclass(frozen=True)
 class ArrayTrackReport:
-    """Per-AP outcome of the ArrayTrack baseline."""
+    """Per-AP outcome of the ArrayTrack baseline.
+
+    ``failure`` is set when no packet produced a spectrum: the first
+    packet's estimation error, or "empty trace".
+    """
 
     array: UniformLinearArray
     aoa_deg: float
     num_packets_used: int
+    failure: Optional[str] = None
 
     @property
     def usable(self) -> bool:
@@ -99,22 +105,26 @@ class ArrayTrack:
         log_sum = None
         grid = None
         num_used = 0
+        failure: Optional[EstimationError] = None
         for frame in used:
             try:
                 spectrum, grid = estimator.spectrum(frame.csi)
-            except EstimationError:
+            except EstimationError as exc:
+                failure = failure or exc
                 continue
             log_spec = np.log(np.maximum(spectrum, 1e-18))
             log_sum = log_spec if log_sum is None else log_sum + log_spec
             num_used += 1
         if log_sum is None or grid is None:
-            return ArrayTrackReport(array=array, aoa_deg=float("nan"), num_packets_used=0)
+            return ArrayTrackReport(
+                array=array,
+                aoa_deg=float("nan"),
+                num_packets_used=0,
+                failure=str(failure or "empty trace"),
+            )
         aggregate = log_sum / num_used
         # Strongest interior local maximum of the aggregate spectrum.
-        interior = (aggregate[1:-1] >= aggregate[:-2]) & (
-            aggregate[1:-1] >= aggregate[2:]
-        )
-        candidates = np.nonzero(interior)[0] + 1
+        candidates = interior_maxima(aggregate)
         if candidates.size == 0:
             best = int(np.argmax(aggregate))
         else:

@@ -20,13 +20,13 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.core.indexcache import grid_range, identity
-from repro.core.music import MusicConfig, mdl_signal_dimension
-from repro.core.peaks import SpectrumPeak
-from repro.core.sanitize import sanitize_csi
+from repro.core.estimator import prepare_csi
+from repro.core.indexcache import grid_range
+from repro.core.music import MusicConfig, subspaces
+from repro.core.peaks import SpectrumPeak, interior_maxima
 from repro.core.steering import SteeringModel
-from repro.errors import ConfigurationError, EstimationError
-from repro.wifi.csi import CsiTrace, validate_csi_matrix
+from repro.errors import ConfigurationError
+from repro.wifi.csi import CsiTrace
 
 
 @dataclass(frozen=True)
@@ -88,58 +88,34 @@ class MusicAoaEstimator:
 
     def spectrum(self, csi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """(1-D pseudospectrum, AoA grid) for one packet."""
-        csi = validate_csi_matrix(csi)
-        if csi.shape[0] != self.model.num_antennas:
-            raise EstimationError(
-                f"CSI has {csi.shape[0]} antennas, model expects "
-                f"{self.model.num_antennas}"
-            )
-        if self.sanitize:
-            csi = sanitize_csi(csi)
-        cov, num_antennas = self._covariance(csi)
-        eigenvalues, eigenvectors = np.linalg.eigh((cov + cov.conj().T) / 2.0)
-        eigenvalues = eigenvalues[::-1]
-        eigenvectors = eigenvectors[:, ::-1]
-        lam_max = float(eigenvalues[0])
-        if lam_max <= 0:
-            raise EstimationError("degenerate covariance (zero CSI?)")
-        num_signals = int(
-            np.sum(eigenvalues > self.config.eigenvalue_threshold_ratio * lam_max)
-        )
-        num_signals = int(np.clip(num_signals, 1, num_antennas - 1))
-        e_noise = eigenvectors[:, num_signals:]
-        grid = self.config.aoa_grid()
-        sub_model = self.model.subarray_model(num_antennas, 1)
-        steering = sub_model.antenna_vector(grid)  # (A, M')
-        proj = steering.conj() @ e_noise  # (A, K)
-        denom = np.maximum(np.sum(np.abs(proj) ** 2, axis=1) / num_antennas, 1e-18)
-        return 1.0 / denom, grid
-
-    def _covariance(self, csi: np.ndarray) -> Tuple[np.ndarray, int]:
-        """Antenna covariance with optional smoothing; returns (R, M')."""
-        m = csi.shape[0]
+        x = prepare_csi(csi, self.model, self.sanitize)
+        m = x.shape[0]
         sub = self.config.spatial_smoothing_subarray
         if sub:
             if not 2 <= sub <= m:
                 raise ConfigurationError(
                     f"spatial smoothing subarray must be in [2, {m}], got {sub}"
                 )
-            blocks = [csi[i : i + sub, :] for i in range(m - sub + 1)]
-            x = np.concatenate(blocks, axis=1)
+            # Every sub-antenna block x[i : i + sub], side by side as snapshots.
+            windows = np.lib.stride_tricks.sliding_window_view(x, sub, axis=0)
+            x = windows.transpose(2, 0, 1).reshape(sub, -1)
             m = sub
-        else:
-            x = csi
-        cov = x @ x.conj().T
-        if self.config.forward_backward:
-            exchange = identity(m)[::-1]
-            cov = (cov + exchange @ cov.conj() @ exchange) / 2.0
-        return cov, m
+        # max_paths = m leaves the rank cap at m - 1: one noise dimension.
+        subspace = MusicConfig(
+            eigenvalue_threshold_ratio=self.config.eigenvalue_threshold_ratio,
+            max_paths=m,
+            forward_backward=self.config.forward_backward,
+        )
+        _, e_noise, _ = subspaces(x @ x.conj().T, subspace)
+        grid = self.config.aoa_grid()
+        steering = self.model.subarray_model(m, 1).antenna_vector(grid)  # (A, M')
+        proj = steering.conj() @ e_noise  # (A, K)
+        denom = np.maximum(np.sum(np.abs(proj) ** 2, axis=1) / m, 1e-18)
+        return 1.0 / denom, grid
 
     def _peaks(self, spectrum: np.ndarray, grid: np.ndarray) -> List[SpectrumPeak]:
-        # 1-D local maxima (interior points only; the border rule of the
-        # 2-D finder applies here too).
-        interior = (spectrum[1:-1] >= spectrum[:-2]) & (spectrum[1:-1] >= spectrum[2:])
-        idx = np.nonzero(interior)[0] + 1
+        # Interior local maxima only (the border rule of the 2-D finder).
+        idx = interior_maxima(spectrum)
         if idx.size == 0:
             # Monotone spectrum: fall back to the global maximum.
             best = int(np.argmax(spectrum))

@@ -7,7 +7,8 @@ Sub-modules follow the paper's structure:
 * :mod:`repro.core.sanitize` — Algorithm 1 ToF sanitization.
 * :mod:`repro.core.music` — MUSIC noise subspace and 2-D pseudospectrum.
 * :mod:`repro.core.peaks` — spectrum peak extraction.
-* :mod:`repro.core.estimator` — per-packet joint (AoA, ToF) estimation.
+* :mod:`repro.core.estimator` — the per-packet CSI front end and joint
+  (AoA, ToF) estimation.
 * :mod:`repro.core.clustering` — GMM/k-means over multi-packet estimates.
 * :mod:`repro.core.likelihood` — Eq. 8 direct-path likelihood.
 * :mod:`repro.core.direct_path` — direct-path selection.

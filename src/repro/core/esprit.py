@@ -19,26 +19,30 @@ magnitude faster per packet.  Two caveats: it is more sensitive to
 coherent-path residual correlation, and the automatic pairing requires
 the ToF eigenvalues to be *distinct* — two paths at the same delay
 defeat the diagonalization regardless of angular separation (the
-spectral search has no such failure mode).  ``EspritEstimator`` mirrors
-``JointEstimator``'s interface
-so it can drop into the pipeline (``SpotFiConfig(estimation="esprit")``)
-and the ablation benchmark compares both.
+spectral search has no such failure mode).
+
+:class:`EspritEstimator` shares :class:`~repro.core.estimator.JointEstimator`'s
+front end through their common base
+:class:`~repro.core.estimator.SubspaceEstimator` — the same CSI check,
+Algorithm 1, smoothing, and signal subspace from
+:func:`~repro.core.music.subspaces` — and differs only after the
+eigen-split, so it drops into the pipeline
+(``SpotFiConfig(estimation="esprit")``) and the ablation benchmark
+compares both.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.estimator import PathEstimate
-from repro.core.music import MusicConfig, covariance, forward_backward_average
-from repro.core.sanitize import sanitize_csi
-from repro.core.smoothing import SmoothingConfig, smooth_csi
-from repro.core.steering import SteeringModel
+from repro.constants import SPEED_OF_LIGHT
+from repro.core.estimator import PathEstimate, SubspaceEstimator
+from repro.core.music import covariance, subspaces
+from repro.core.smoothing import smooth_csi
 from repro.errors import EstimationError
-from repro.wifi.csi import CsiTrace, validate_csi_matrix
 
 
 def _selection_indices(
@@ -62,38 +66,19 @@ def _selection_indices(
 
 
 @dataclass
-class EspritEstimator:
+class EspritEstimator(SubspaceEstimator):
     """Shift-invariance joint (AoA, ToF) estimator.
 
-    Attributes
-    ----------
-    model:
-        Steering model of the full array (e.g. 3 x 30 Intel 5300).
-    smoothing:
-        Subarray configuration (shared with the MUSIC path).
-    music:
-        Reused for its subspace parameters (eigenvalue threshold,
-        max_paths, forward_backward); the grids are ignored.
-    sanitize:
-        Apply Algorithm 1 first.
+    The fields are :class:`~repro.core.estimator.SubspaceEstimator`'s;
+    of ``music`` only the subspace parameters (eigenvalue threshold or
+    MDL, max_paths, forward_backward) are used, the grids are ignored.
     """
 
-    model: SteeringModel
-    smoothing: SmoothingConfig = field(default_factory=SmoothingConfig)
-    music: MusicConfig = field(default_factory=MusicConfig)
-    sanitize: bool = True
-
     def __post_init__(self) -> None:
-        self._sub_model = self.model.subarray_model(
-            self.smoothing.sub_antennas, self.smoothing.sub_subcarriers
-        )
+        super().__post_init__()
         self._selections = _selection_indices(
             self.smoothing.sub_antennas, self.smoothing.sub_subcarriers
         )
-
-    @property
-    def subarray_model(self) -> SteeringModel:
-        return self._sub_model
 
     # ------------------------------------------------------------------
     def estimate_packet(
@@ -104,32 +89,13 @@ class EspritEstimator:
         Returns estimates sorted by descending path power (least-squares
         amplitude against the estimated steering vectors).
         """
-        csi = validate_csi_matrix(csi)
-        if csi.shape != (self.model.num_antennas, self.model.num_subcarriers):
-            raise EstimationError(
-                f"CSI shape {csi.shape} does not match the steering model "
-                f"({self.model.num_antennas}, {self.model.num_subcarriers})"
-            )
-        if self.sanitize:
-            csi = sanitize_csi(csi)
+        csi = self.stage_sanitize(csi)
         x = smooth_csi(csi, self.smoothing)
-        r = covariance(x)
-        if self.music.forward_backward:
-            r = forward_backward_average(r)
-        eigenvalues, eigenvectors = np.linalg.eigh((r + r.conj().T) / 2.0)
-        eigenvalues = eigenvalues[::-1]
-        eigenvectors = eigenvectors[:, ::-1]
-        if eigenvalues[0] <= 0:
-            raise EstimationError("degenerate covariance (zero CSI?)")
-        num_paths = int(
-            np.sum(eigenvalues > self.music.eigenvalue_threshold_ratio * eigenvalues[0])
-        )
+        e_signal, _, _ = subspaces(covariance(x), self.music, num_snapshots=x.shape[1])
         # Shift invariance needs J1 E_s full column rank: L cannot exceed
         # the smaller selection's row count nor make pinv ill-posed.
         tau_j1, tau_j2, theta_j1, theta_j2 = self._selections
-        limit = min(self.music.max_paths, len(tau_j1) - 1, len(theta_j1) - 1)
-        num_paths = int(np.clip(num_paths, 1, limit))
-        e_signal = eigenvectors[:, :num_paths]
+        e_signal = e_signal[:, : min(len(tau_j1), len(theta_j1)) - 1]
 
         f_tau = np.linalg.lstsq(e_signal[tau_j1], e_signal[tau_j2], rcond=None)[0]
         f_theta = np.linalg.lstsq(e_signal[theta_j1], e_signal[theta_j2], rcond=None)[0]
@@ -162,13 +128,6 @@ class EspritEstimator:
         results.sort(key=lambda e: -e.power)
         return results
 
-    def estimate_trace(self, trace: CsiTrace) -> List[PathEstimate]:
-        """Estimates pooled over every packet of a trace."""
-        estimates: List[PathEstimate] = []
-        for index, frame in enumerate(trace):
-            estimates.extend(self.estimate_packet(frame.csi, packet_index=index))
-        return estimates
-
     # ------------------------------------------------------------------
     def _tof_from_omega(self, omega: complex) -> float:
         """Invert Omega(tau) = exp(-j 2 pi f_delta tau), principal branch."""
@@ -178,8 +137,6 @@ class EspritEstimator:
     def _aoa_from_phi(self, phi: complex) -> Optional[float]:
         """Invert Phi(theta) = exp(-j 2 pi d sin(theta) f / c)."""
         angle = np.angle(phi)
-        from repro.constants import SPEED_OF_LIGHT
-
         sin_theta = -angle * SPEED_OF_LIGHT / (
             2.0
             * np.pi

@@ -1,13 +1,17 @@
 """Per-packet joint (AoA, ToF) estimation — Alg. 2 lines 3-7 for one packet.
 
-:class:`JointEstimator` chains sanitization (Algorithm 1), CSI smoothing
-(Fig. 4), MUSIC (lines 5-6), and peak extraction (line 7), producing the
-:class:`PathEstimate` points that the clustering stage consumes.
+:func:`prepare_csi` is the front end every per-packet estimator shares:
+CSI validation, the shape check against the steering model, and
+sanitization (Algorithm 1).  :class:`SubspaceEstimator` holds what the
+smoothed-CSI estimators have in common, and :class:`JointEstimator`
+chains that front end, CSI smoothing (Fig. 4), MUSIC (lines 5-6) and
+peak extraction (line 7), producing the :class:`PathEstimate` points
+that the clustering stage consumes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import List, Optional, Tuple, Union
 
 import numpy as np
@@ -54,9 +58,36 @@ class PathEstimate:
     packet_index: int = 0
 
 
+@contract(csi="(M,N)", returns="(M,N) complex128")
+def prepare_csi(
+    csi: np.ndarray, model: SteeringModel, sanitize: bool = True
+) -> np.ndarray:
+    """The shared per-packet front end (Alg. 2 lines 3-4).
+
+    Validates one packet's CSI, rejects a shape that differs from the
+    steering model's ``(num_antennas, num_subcarriers)`` with an
+    :class:`EstimationError` (which degrades only that packet's AP), and
+    applies Algorithm 1 when ``sanitize`` is set.
+    """
+    csi = validate_csi_matrix(csi)
+    if csi.shape != (model.num_antennas, model.num_subcarriers):
+        raise EstimationError(
+            f"CSI shape {csi.shape} does not match the steering model "
+            f"({model.num_antennas}, {model.num_subcarriers})"
+        )
+    if sanitize:
+        csi = sanitize_csi(csi)
+    return csi
+
+
 @dataclass
-class JointEstimator:
-    """SpotFi's super-resolution joint (AoA, ToF) estimator.
+class SubspaceEstimator:
+    """Per-packet estimator on the smoothed CSI matrix: the shared base.
+
+    Holds what 2-D MUSIC (:class:`JointEstimator`) and ESPRIT
+    (:class:`~repro.core.esprit.EspritEstimator`) have in common: the
+    front end (:meth:`stage_sanitize`), the subarray steering model and
+    the pooled trace loop.  Subclasses implement :meth:`estimate_packet`.
 
     Attributes
     ----------
@@ -66,20 +97,63 @@ class JointEstimator:
     smoothing:
         Subarray configuration for the smoothed CSI matrix.
     music:
-        MUSIC subspace and grid configuration.
+        Subspace parameters (eigenvalue threshold or MDL, max_paths,
+        forward_backward) and, for MUSIC, the search grids.
     sanitize:
         Apply Algorithm 1 before smoothing (the paper always does; the
         flag exists for the ablation benchmark).
-    max_peaks:
-        Maximum multipath components returned per packet.
-    min_rel_height_db:
-        Peak acceptance threshold below the strongest peak.
     """
 
     model: SteeringModel
     smoothing: SmoothingConfig = field(default_factory=SmoothingConfig)
     music: MusicConfig = field(default_factory=MusicConfig)
     sanitize: bool = True
+
+    def __post_init__(self) -> None:
+        # The steering model used against the smoothed matrix spans the
+        # subarray, not the full array.
+        self._sub_model = self.model.subarray_model(
+            self.smoothing.sub_antennas, self.smoothing.sub_subcarriers
+        )
+
+    @property
+    def subarray_model(self) -> SteeringModel:
+        """Steering model of the smoothed subarray the estimator runs on."""
+        return self._sub_model
+
+    def estimate_packet(
+        self, csi: np.ndarray, packet_index: int = 0
+    ) -> List[PathEstimate]:
+        """(AoA, ToF) estimates for one packet, strongest first."""
+        raise NotImplementedError
+
+    @contract(csi="(M,N)", returns="(M,N) complex128")
+    def stage_sanitize(self, csi: np.ndarray) -> np.ndarray:
+        """Validate one packet's CSI and apply Algorithm 1 (if enabled)."""
+        return prepare_csi(csi, self.model, self.sanitize)
+
+    def estimate_trace(self, trace: CsiTrace) -> List[PathEstimate]:
+        """Estimates pooled over every packet of a trace (Alg. 2 lines 2-8)."""
+        estimates: List[PathEstimate] = []
+        for index, frame in enumerate(trace):
+            estimates.extend(self.estimate_packet(frame.csi, packet_index=index))
+        return estimates
+
+
+@dataclass
+class JointEstimator(SubspaceEstimator):
+    """SpotFi's super-resolution joint (AoA, ToF) estimator: 2-D MUSIC.
+
+    Attributes
+    ----------
+    max_peaks:
+        Maximum multipath components returned per packet.
+    min_rel_height_db:
+        Peak acceptance threshold below the strongest peak.
+
+    The other fields are :class:`SubspaceEstimator`'s.
+    """
+
     max_peaks: int = 6
     min_rel_height_db: float = 20.0
 
@@ -90,16 +164,7 @@ class JointEstimator:
             raise ConfigurationError(
                 f"min_rel_height_db must be >= 0, got {self.min_rel_height_db}"
             )
-        # The steering model used against the smoothed matrix spans the
-        # subarray, not the full array.
-        self._sub_model = self.model.subarray_model(
-            self.smoothing.sub_antennas, self.smoothing.sub_subcarriers
-        )
-
-    @property
-    def subarray_model(self) -> SteeringModel:
-        """Steering model of the smoothed subarray MUSIC runs on."""
-        return self._sub_model
+        super().__post_init__()
 
     # ------------------------------------------------------------------
     # Single packet
@@ -132,19 +197,6 @@ class JointEstimator:
     # ``estimate_packet`` is their composition; the traced pipeline path
     # (repro.core.pipeline with a real repro.obs tracer) drives them one
     # at a time so each stage gets its own span.
-
-    @contract(csi="(M,N)", returns="(M,N) complex128")
-    def stage_sanitize(self, csi: np.ndarray) -> np.ndarray:
-        """Validate one packet's CSI and apply Algorithm 1 (if enabled)."""
-        csi = validate_csi_matrix(csi)
-        if csi.shape != (self.model.num_antennas, self.model.num_subcarriers):
-            raise EstimationError(
-                f"CSI shape {csi.shape} does not match the steering model "
-                f"({self.model.num_antennas}, {self.model.num_subcarriers})"
-            )
-        if self.sanitize:
-            csi = sanitize_csi(csi)
-        return csi
 
     @contract(csi="(M,N)", returns="(S,C) complex128")
     def stage_smooth(self, csi: np.ndarray) -> np.ndarray:
@@ -205,16 +257,6 @@ class JointEstimator:
             for p in peaks
         ]
 
-    # ------------------------------------------------------------------
-    # Traces
-    # ------------------------------------------------------------------
-    def estimate_trace(self, trace: CsiTrace) -> List[PathEstimate]:
-        """Estimates pooled over every packet of a trace (Alg. 2 lines 2-8)."""
-        estimates: List[PathEstimate] = []
-        for index, frame in enumerate(trace):
-            estimates.extend(self.estimate_packet(frame.csi, packet_index=index))
-        return estimates
-
     def estimate_burst(self, trace: CsiTrace) -> List[PathEstimate]:
         """One MUSIC pass over a whole burst (pooled-covariance variant).
 
@@ -231,15 +273,7 @@ class JointEstimator:
         """
         if len(trace) == 0:
             raise EstimationError("cannot estimate an empty trace")
-        frames = trace.csi_array()
-        if frames.shape[1:] != (self.model.num_antennas, self.model.num_subcarriers):
-            raise EstimationError(
-                f"trace CSI shape {frames.shape[1:]} does not match the "
-                f"steering model ({self.model.num_antennas}, "
-                f"{self.model.num_subcarriers})"
-            )
-        if self.sanitize:
-            frames = np.stack([sanitize_csi(f) for f in frames])
+        frames = np.stack([self.stage_sanitize(frame.csi) for frame in trace])
         x = smooth_csi_batch(frames, self.smoothing)
         return self.stage_peaks(*self.stage_music(x))
 
@@ -269,7 +303,7 @@ class JointEstimator:
 
 
 def estimate_packet_safe(
-    task: Tuple["JointEstimator", np.ndarray, int]
+    task: Tuple[SubspaceEstimator, np.ndarray, int]
 ) -> Union[List[PathEstimate], EstimationError]:
     """Executor task: one packet through one estimator, failures as values.
 

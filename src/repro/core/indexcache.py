@@ -1,6 +1,6 @@
 """Cached, read-only index/grid arrays for the per-packet hot path.
 
-``np.arange``/``np.eye`` calls in sanitize, steering, and grid-search
+``np.arange`` calls in sanitize, steering, and grid-search
 code rebuild the same small arrays on every packet — flagged by flow
 rule REP011 because the shapes depend only on the (fixed) array
 geometry and grid config, never on the data.  These helpers memoize
@@ -31,14 +31,6 @@ import numpy as np
 def index_vector(n: int, dtype: Optional[str] = None) -> np.ndarray:
     """``np.arange(n)`` (optionally typed), cached and read-only."""
     out = np.arange(n) if dtype is None else np.arange(n, dtype=dtype)
-    out.setflags(write=False)
-    return out
-
-
-@lru_cache(maxsize=64)
-def identity(n: int) -> np.ndarray:
-    """``np.eye(n)``, cached and read-only."""
-    out = np.eye(n)
     out.setflags(write=False)
     return out
 

@@ -120,6 +120,18 @@ def find_peaks_2d(
     ]
 
 
+def interior_maxima(spectrum: np.ndarray) -> np.ndarray:
+    """Ascending indices of a 1-D spectrum's interior local maxima.
+
+    Index ``i`` (``0 < i < len - 1``) qualifies when ``spectrum[i]`` is
+    ``>=`` both neighbours, so every interior point of a flat stretch
+    counts; the two end points never do.  Callers choose their own
+    threshold and their own fallback for a monotone spectrum.
+    """
+    s = np.asarray(spectrum)
+    return np.nonzero((s[1:-1] >= s[:-2]) & (s[1:-1] >= s[2:]))[0] + 1
+
+
 def _local_maxima(
     spec: np.ndarray, threshold: float, neighborhood: int, exclude_border: bool
 ) -> Tuple[np.ndarray, np.ndarray]:

@@ -20,6 +20,7 @@ from repro.core.esprit import EspritEstimator
 from repro.core.estimator import (
     JointEstimator,
     PathEstimate,
+    SubspaceEstimator,
     estimate_packet_safe,
 )
 from repro.core.likelihood import DEFAULT_WEIGHTS, LikelihoodWeights
@@ -249,8 +250,12 @@ class SpotFi:
     # ------------------------------------------------------------------
     # Per-AP processing (Alg. 2 lines 1-11)
     # ------------------------------------------------------------------
-    def estimator_for(self, array: UniformLinearArray) -> JointEstimator:
-        """The joint estimator for an AP's array geometry (cached)."""
+    def estimator_for(self, array: UniformLinearArray) -> SubspaceEstimator:
+        """The per-packet estimator for an AP's array geometry (cached).
+
+        A :class:`JointEstimator`, or an ESPRIT one when
+        ``config.estimation == "esprit"``.
+        """
         key = (array.num_antennas, array.spacing_m)
         if key not in self._estimators:
             model = SteeringModel.for_grid(

@@ -9,7 +9,7 @@ likelihood — so they fuse through the AoA-restricted Eq. 9 solve
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -54,15 +54,19 @@ class MusicAoaAdapter(Estimator):
         rssi = used.median_rssi_dbm()
         estimator = self._estimator_for(array)
         aoas = []
+        failure: Optional[EstimationError] = None
         for frame in used:
             try:
                 peaks = estimator.estimate_packet(frame.csi)
-            except EstimationError:
+            except EstimationError as exc:
+                failure = failure or exc
                 continue
             if peaks:
                 aoas.append(peaks[0].aoa_deg)
         if not aoas:
-            raise EstimationError("MUSIC-AoA found no peaks in any packet")
+            raise EstimationError(
+                f"MUSIC-AoA found no peaks in any packet: {failure or 'empty trace'}"
+            )
         confidence = len(aoas) / max(1, len(used))
         path = EstimatedPath(
             aoa_deg=float(np.median(np.asarray(aoas))),
@@ -95,7 +99,8 @@ class ArrayTrackAdapter(Estimator):
         report = self._arraytrack.process_ap(array, trace)
         if not report.usable:
             raise EstimationError(
-                "ArrayTrack produced no usable aggregate-spectrum peak"
+                f"ArrayTrack produced no usable aggregate-spectrum peak: "
+                f"{report.failure}"
             )
         confidence = report.num_packets_used / max(1, len(used))
         path = EstimatedPath(

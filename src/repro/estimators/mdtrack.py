@@ -23,19 +23,14 @@ import numpy as np
 
 from repro.core.clustering import cluster_estimates
 from repro.core.direct_path import select_direct_path
-from repro.core.estimator import PathEstimate
-from repro.core.sanitize import sanitize_csi
+from repro.core.estimator import PathEstimate, prepare_csi
+from repro.core.pipeline import ApReport
 from repro.core.steering import SteeringModel
 from repro.errors import EstimationError
-from repro.estimators.base import (
-    ApEstimate,
-    EstimatedPath,
-    Estimator,
-    EstimatorContext,
-)
+from repro.estimators.base import ApEstimate, Estimator, EstimatorContext, from_report
 from repro.estimators.registry import register
 from repro.wifi.arrays import UniformLinearArray
-from repro.wifi.csi import CsiTrace, validate_csi_matrix
+from repro.wifi.csi import CsiTrace
 
 #: AoA search grid (deg) — same span/step as the classic MUSIC grid.
 _AOA_GRID = np.arange(-90.0, 90.5, 1.0)
@@ -138,14 +133,7 @@ class MdTrackEstimator(Estimator):
         model = self._model_for(array)
         estimates: List[PathEstimate] = []
         for index, frame in enumerate(used):
-            csi = validate_csi_matrix(frame.csi)
-            if csi.shape[0] != model.model.num_antennas:
-                raise EstimationError(
-                    f"CSI has {csi.shape[0]} antennas, model expects "
-                    f"{model.model.num_antennas}"
-                )
-            if config.sanitize:
-                csi = sanitize_csi(csi)
+            csi = prepare_csi(frame.csi, model.model, config.sanitize)
             estimates.extend(self._packet_paths(model, csi, index))
         min_size = max(
             config.min_cluster_size,
@@ -158,27 +146,10 @@ class MdTrackEstimator(Estimator):
             rng=np.random.default_rng(self.context.seed),
             min_cluster_size=min_size,
         )
-        direct = select_direct_path(clusters, config.likelihood)
-        paths = [
-            EstimatedPath(
-                aoa_deg=float(direct.aoa_deg),
-                tof_s=float(direct.tof_s),
-                weight=float(direct.likelihood),
+        return from_report(
+            ApReport(
+                array=array,
+                direct=select_direct_path(clusters, config.likelihood),
+                rssi_dbm=rssi,
             )
-        ]
-        for cluster, likelihood in zip(direct.all_clusters, direct.all_likelihoods):
-            if cluster is direct.cluster:
-                continue
-            paths.append(
-                EstimatedPath(
-                    aoa_deg=float(cluster.mean_aoa_deg),
-                    tof_s=float(cluster.mean_tof_s),
-                    weight=float(likelihood),
-                )
-            )
-        return ApEstimate(
-            array=array,
-            paths=tuple(paths),
-            confidence=float(direct.likelihood),
-            rssi_dbm=rssi,
         )

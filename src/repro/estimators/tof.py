@@ -19,8 +19,9 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.estimator import prepare_csi
 from repro.core.localization import ApObservation, LocalizationResult, Localizer
-from repro.core.sanitize import sanitize_csi
+from repro.core.peaks import interior_maxima
 from repro.core.steering import SteeringModel
 from repro.errors import EstimationError
 from repro.estimators.base import (
@@ -31,7 +32,7 @@ from repro.estimators.base import (
 )
 from repro.estimators.registry import register
 from repro.wifi.arrays import UniformLinearArray
-from repro.wifi.csi import CsiTrace, validate_csi_matrix
+from repro.wifi.csi import CsiTrace
 
 #: Delay grid resolution within one ToF ambiguity period.
 _NUM_TOF_BINS = 256
@@ -72,14 +73,7 @@ class TofEstimator(Estimator):
         model, tof_grid, conj_o = self._model_for(array)
         spectrum: Optional[np.ndarray] = None
         for frame in used:
-            csi = validate_csi_matrix(frame.csi)
-            if csi.shape[0] != model.num_antennas:
-                raise EstimationError(
-                    f"CSI has {csi.shape[0]} antennas, model expects "
-                    f"{model.num_antennas}"
-                )
-            if config.sanitize:
-                csi = sanitize_csi(csi)
+            csi = prepare_csi(frame.csi, model, config.sanitize)
             # (M, N) @ (N, Gt) -> per-antenna delay responses, power-summed.
             responses = csi @ conj_o.T
             packet_spectrum = np.sum(np.abs(responses) ** 2, axis=0)
@@ -92,10 +86,8 @@ class TofEstimator(Estimator):
         if peak <= 0.0:
             raise EstimationError("degenerate delay spectrum (zero CSI?)")
         threshold = peak * 10.0 ** (-_PEAK_WINDOW_DB / 10.0)
-        interior = (spectrum[1:-1] >= spectrum[:-2]) & (
-            spectrum[1:-1] >= spectrum[2:]
-        )
-        candidates = np.nonzero(interior & (spectrum[1:-1] >= threshold))[0] + 1
+        candidates = interior_maxima(spectrum)
+        candidates = candidates[spectrum[candidates] >= threshold]
         best = int(candidates[0]) if candidates.size else int(np.argmax(spectrum))
         confidence = float(spectrum[best] / peak)
         path = EstimatedPath(

@@ -8,6 +8,8 @@ import pytest
 from repro.channel.impairments import ImpairmentModel, ideal_impairments
 from repro.channel.paths import PropagationPath
 from repro.core.steering import SteeringModel
+from repro.testbed.layout import office_testbed
+from repro.testbed.scenarios import office_locations
 from repro.wifi.arrays import UniformLinearArray
 from repro.wifi.intel5300 import Intel5300
 from repro.wifi.ofdm import OfdmGrid
@@ -57,3 +59,20 @@ def rng() -> np.random.Generator:
 @pytest.fixture()
 def clean_impairments() -> ImpairmentModel:
     return ideal_impairments()
+
+
+@pytest.fixture(scope="session")
+def office_bursts():
+    """Seeded office CSI: 3-packet bursts of 2 targets at 3 office APs.
+
+    A list of ``(array, trace)`` pairs; used by the tests that pin
+    estimator outputs bit for bit against their reference copies.
+    """
+    testbed = office_testbed()
+    sim = testbed.simulator()
+    rng = np.random.default_rng(7)
+    return [
+        (ap, sim.generate_trace(target.position, ap, 3, rng=rng))
+        for target in office_locations(testbed)[:2]
+        for ap in testbed.office_aps()[:3]
+    ]

@@ -6,7 +6,11 @@ import pytest
 from repro.channel.csi_model import synthesize_csi
 from repro.channel.paths import PropagationPath
 from repro.core.esprit import EspritEstimator, _selection_indices
+from repro.core.estimator import JointEstimator, PathEstimate
+from repro.core.music import MusicConfig, covariance, forward_backward_average, subspaces
 from repro.core.pipeline import SpotFi, SpotFiConfig
+from repro.core.sanitize import sanitize_csi
+from repro.core.smoothing import smooth_csi
 from repro.core.steering import SteeringModel
 from repro.errors import ConfigurationError, EstimationError
 from repro.testbed.layout import small_testbed
@@ -17,6 +21,50 @@ from repro.wifi.csi import CsiTrace
 def estimator(grid, ula):
     model = SteeringModel.for_grid(grid, 3, ula.spacing_m)
     return EspritEstimator(model=model)
+
+
+def _reference_estimate_packet(est, csi, packet_index=0):
+    """Test oracle: ESPRIT with its own inline front end and eigen-split.
+
+    Everything after the signal subspace reuses the estimator's helpers;
+    the front end and the split are written out here so the shared
+    :func:`~repro.core.music.subspaces` path can be pinned bit for bit.
+    """
+    csi = np.asarray(csi, dtype=np.complex128)
+    if est.sanitize:
+        csi = sanitize_csi(csi)
+    r = covariance(smooth_csi(csi, est.smoothing))
+    if est.music.forward_backward:
+        r = forward_backward_average(r)
+    eigenvalues, eigenvectors = np.linalg.eigh((r + r.conj().T) / 2.0)
+    eigenvalues = eigenvalues[::-1]
+    eigenvectors = eigenvectors[:, ::-1]
+    num_paths = int(
+        np.sum(eigenvalues > est.music.eigenvalue_threshold_ratio * eigenvalues[0])
+    )
+    tau_j1, tau_j2, theta_j1, theta_j2 = _selection_indices(
+        est.smoothing.sub_antennas, est.smoothing.sub_subcarriers
+    )
+    limit = min(est.music.max_paths, len(tau_j1) - 1, len(theta_j1) - 1)
+    e_signal = eigenvectors[:, : int(np.clip(num_paths, 1, limit))]
+    f_tau = np.linalg.lstsq(e_signal[tau_j1], e_signal[tau_j2], rcond=None)[0]
+    f_theta = np.linalg.lstsq(e_signal[theta_j1], e_signal[theta_j2], rcond=None)[0]
+    tau_eigs, t = np.linalg.eig(f_tau)
+    theta_eigs = np.diag(np.linalg.inv(t) @ f_theta @ t)
+    estimates = []
+    for omega, phi in zip(tau_eigs, theta_eigs):
+        aoa = est._aoa_from_phi(phi)
+        if aoa is not None:
+            estimates.append((aoa, est._tof_from_omega(omega)))
+    if not estimates:
+        return []
+    powers = est._path_powers(csi, estimates)
+    results = [
+        PathEstimate(aoa_deg=aoa, tof_s=tof, power=float(p), packet_index=packet_index)
+        for (aoa, tof), p in zip(estimates, powers)
+    ]
+    results.sort(key=lambda e: -e.power)
+    return results
 
 
 class TestSelections:
@@ -76,8 +124,21 @@ class TestCleanRecovery:
 
 class TestInterfaces:
     def test_wrong_shape_rejected(self, estimator):
-        with pytest.raises(EstimationError):
+        with pytest.raises(
+            EstimationError,
+            match=r"CSI shape \(3, 10\) does not match the steering model \(3, 30\)",
+        ):
             estimator.estimate_packet(np.ones((3, 10), dtype=complex))
+
+    def test_zero_csi_message_shared_with_music(self, estimator):
+        zero = np.zeros((3, 30), dtype=complex)
+        messages = []
+        for est in (estimator, JointEstimator(model=estimator.model)):
+            with pytest.raises(EstimationError) as excinfo:
+                est.estimate_packet(zero)
+            messages.append(str(excinfo.value))
+        assert messages[0] == messages[1]
+        assert "no positive eigenvalues" in messages[0]
 
     def test_estimate_trace(self, estimator, ula, grid, three_paths):
         csi = synthesize_csi(three_paths, ula, grid)
@@ -88,6 +149,40 @@ class TestInterfaces:
     def test_subarray_model(self, estimator):
         assert estimator.subarray_model.num_antennas == 2
         assert estimator.subarray_model.num_subcarriers == 15
+
+
+class TestSharedSubspace:
+    def test_office_packets_match_reference(self, office_bursts, grid):
+        compared = 0
+        for array, trace in office_bursts:
+            est = EspritEstimator(
+                model=SteeringModel.for_grid(grid, array.num_antennas, array.spacing_m)
+            )
+            for i, frame in enumerate(trace):
+                got = est.estimate_packet(frame.csi, packet_index=i)
+                want = _reference_estimate_packet(est, frame.csi, packet_index=i)
+                assert got
+                assert got == want
+                compared += 1
+        assert compared == 18
+
+    def test_mdl_order_honoured(self, estimator, ula, grid, three_paths):
+        # At 10 dB SNR the 25 dB eigenvalue threshold keeps noise
+        # dimensions that MDL rejects.
+        csi = synthesize_csi(three_paths, ula, grid)
+        rng = np.random.default_rng(1234)
+        noise = (
+            rng.normal(size=csi.shape) + 1j * rng.normal(size=csi.shape)
+        ) * np.sqrt(np.mean(np.abs(csi) ** 2) / 2) * 10 ** (-10 / 20)
+        csi = csi + noise
+        x = smooth_csi(sanitize_csi(csi), estimator.smoothing)
+        mdl = MusicConfig(use_mdl=True)
+        threshold_order = subspaces(covariance(x), MusicConfig())[2]
+        mdl_order = subspaces(covariance(x), mdl, num_snapshots=x.shape[1])[2]
+        assert mdl_order < threshold_order
+        assert len(estimator.estimate_packet(csi)) > mdl_order
+        with_mdl = EspritEstimator(model=estimator.model, music=mdl)
+        assert 0 < len(with_mdl.estimate_packet(csi)) <= mdl_order
 
 
 class TestPipelineIntegration:

@@ -8,7 +8,12 @@ from scipy import ndimage
 
 from repro import Intel5300
 from repro.core.estimator import JointEstimator
-from repro.core.peaks import SpectrumPeak, find_peaks_2d, merge_close_peaks
+from repro.core.peaks import (
+    SpectrumPeak,
+    find_peaks_2d,
+    interior_maxima,
+    merge_close_peaks,
+)
 from repro.errors import ConfigurationError
 from repro.testbed.layout import office_testbed
 from repro.testbed.scenarios import office_locations
@@ -256,6 +261,26 @@ def test_office_spectra_match_full_grid_reference():
                 assert peaks == _reference_peaks(spec, aoa, tof, **kwargs)
                 compared += 1
     assert compared == 12
+
+
+class TestInteriorMaxima:
+    def test_monotone_has_none(self):
+        assert interior_maxima(np.arange(6.0)).size == 0
+        assert interior_maxima(np.arange(6.0)[::-1]).size == 0
+
+    def test_flat_counts_every_interior_point(self):
+        assert interior_maxima(np.ones(5)).tolist() == [1, 2, 3]
+
+    def test_length_three(self):
+        assert interior_maxima(np.array([0.0, 2.0, 1.0])).tolist() == [1]
+        assert interior_maxima(np.array([2.0, 1.0, 3.0])).size == 0
+
+    def test_shorter_than_three_has_none(self):
+        assert interior_maxima(np.array([1.0, 2.0])).size == 0
+
+    def test_ascending_indices_and_plateau_edges(self):
+        spectrum = np.array([0.0, 3.0, 1.0, 2.0, 2.0, 0.0, 5.0, 4.0])
+        assert interior_maxima(spectrum).tolist() == [1, 3, 4, 6]
 
 
 class TestMerge:

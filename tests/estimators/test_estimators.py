@@ -3,9 +3,20 @@
 import numpy as np
 import pytest
 
+from repro.core.clustering import cluster_estimates
+from repro.core.direct_path import select_direct_path
 from repro.core.pipeline import SpotFi, SpotFiConfig
-from repro.estimators import EstimatorContext, available, create, tier_of
+from repro.core.sanitize import sanitize_csi
+from repro.estimators import (
+    ApEstimate,
+    EstimatedPath,
+    EstimatorContext,
+    available,
+    create,
+    tier_of,
+)
 from repro.testbed.layout import small_testbed
+from repro.wifi.csi import CsiTrace
 
 #: Accuracy ceiling per tier — coarse trades precision for latency.
 _TIER_ERROR_M = {"precise": 1.5, "balanced": 2.5, "coarse": 3.5}
@@ -87,3 +98,96 @@ def test_per_estimator_timings_recorded(scene):
 def test_every_registered_estimator_reports_tier():
     for name in available():
         assert tier_of(name) in ("precise", "balanced", "coarse")
+
+
+@pytest.mark.parametrize(
+    "name", ["music2d", "esprit", "mdtrack", "music-aoa", "arraytrack", "tof"]
+)
+def test_wrong_subcarrier_count_degrades_only_that_ap(scene, name):
+    tb, sim, target, pairs = scene
+    array, trace = pairs[0]
+    cut = CsiTrace.from_arrays(trace.csi_array()[:, :, :29])
+    spotfi = SpotFi(
+        sim.grid,
+        bounds=tb.bounds,
+        config=SpotFiConfig(packets_per_fix=8),
+        rng=np.random.default_rng(0),
+    )
+    fix = spotfi.locate([(array, cut)] + pairs[1:], estimator=name)
+    assert fix.degraded_aps == (0,)
+    assert "CSI shape (3, 29) does not match the steering model (3, 30)" in (
+        fix.reports[0].failure
+    )
+
+
+def _reference_tof(estimator, array, trace):
+    """Test oracle: the tof tier with its own inline front end and peak rule."""
+    config = estimator.context.config
+    used = trace[: config.packets_per_fix]
+    model, tof_grid, conj_o = estimator._model_for(array)
+    spectrum = None
+    for frame in used:
+        csi = sanitize_csi(frame.csi) if config.sanitize else frame.csi
+        packet = np.sum(np.abs(csi @ conj_o.T) ** 2, axis=0)
+        spectrum = packet if spectrum is None else spectrum + packet
+    peak = float(spectrum.max())
+    threshold = peak * 10.0 ** (-10.0 / 10.0)
+    interior = (spectrum[1:-1] >= spectrum[:-2]) & (spectrum[1:-1] >= spectrum[2:])
+    candidates = np.nonzero(interior & (spectrum[1:-1] >= threshold))[0] + 1
+    best = int(candidates[0]) if candidates.size else int(np.argmax(spectrum))
+    confidence = float(spectrum[best] / peak)
+    path = EstimatedPath(aoa_deg=0.0, tof_s=float(tof_grid[best]), weight=confidence)
+    return ApEstimate(
+        array=array,
+        paths=(path,),
+        confidence=confidence,
+        rssi_dbm=used.median_rssi_dbm(),
+    )
+
+
+def _reference_mdtrack(estimator, array, trace):
+    """Test oracle: the mdtrack tier with an inline front end and path list."""
+    config = estimator.context.config
+    used = trace[: config.packets_per_fix]
+    model = estimator._model_for(array)
+    estimates = []
+    for index, frame in enumerate(used):
+        csi = sanitize_csi(frame.csi) if config.sanitize else frame.csi
+        estimates.extend(estimator._packet_paths(model, csi, index))
+    clusters = cluster_estimates(
+        estimates,
+        num_clusters=config.num_clusters,
+        method="kmeans",
+        rng=np.random.default_rng(estimator.context.seed),
+        min_cluster_size=max(
+            config.min_cluster_size,
+            int(np.ceil(config.min_cluster_fraction * len(used))),
+        ),
+    )
+    direct = select_direct_path(clusters, config.likelihood)
+    paths = [EstimatedPath(direct.aoa_deg, direct.tof_s, direct.likelihood)]
+    for cluster, likelihood in zip(direct.all_clusters, direct.all_likelihoods):
+        if cluster is not direct.cluster:
+            paths.append(
+                EstimatedPath(cluster.mean_aoa_deg, cluster.mean_tof_s, likelihood)
+            )
+    return ApEstimate(
+        array=array,
+        paths=tuple(paths),
+        confidence=float(direct.likelihood),
+        rssi_dbm=used.median_rssi_dbm(),
+    )
+
+
+@pytest.mark.parametrize(
+    "name, reference", [("tof", _reference_tof), ("mdtrack", _reference_mdtrack)]
+)
+def test_office_estimates_match_reference(office_bursts, grid, name, reference):
+    for seed, (array, trace) in enumerate(office_bursts):
+        context = EstimatorContext(
+            grid=grid, bounds=None, config=SpotFiConfig(packets_per_fix=3), seed=seed
+        )
+        estimator = create(name, context)
+        got = estimator.estimate_ap(array, trace)
+        assert got.usable
+        assert got == reference(estimator, array, trace)
