@@ -5,9 +5,10 @@ executors; when tracing is off every call site pays only an
 ``if tracer.enabled`` attribute lookup plus the histogram ``observe``
 in :class:`~repro.runtime.metrics.RuntimeMetrics`.  This benchmark pins
 that cost: it times an uninstrumented baseline (a bare Python loop over
-the same per-packet estimation tasks) against the instrumented
-``SerialExecutor.map_ordered`` path with the default no-op tracer, and
-**fails** (exit 1) when the relative overhead exceeds the budget.
+the same per-AP estimation tasks, one per small-testbed AP) against the
+instrumented ``SerialExecutor.map_ordered`` path with the default no-op
+tracer, and **fails** (exit 1) when the relative overhead exceeds the
+budget.
 
 For information only, it also times a fully enabled :class:`Tracer`
 through the traced ``SpotFi.locate`` path — that mode is diagnostic and
@@ -33,8 +34,8 @@ from typing import List
 
 import numpy as np
 
-from repro.core.estimator import JointEstimator, SteeringModel
-from repro.core.pipeline import SpotFi, SpotFiConfig, estimate_packet_safe
+from repro.core.estimator import JointEstimator, SteeringModel, estimate_ap_packets
+from repro.core.pipeline import SpotFi, SpotFiConfig
 from repro.obs import Tracer
 from repro.runtime import RuntimeMetrics, SerialExecutor, default_steering_cache
 from repro.testbed.layout import small_testbed
@@ -43,22 +44,20 @@ SEED = 20150817  # SIGCOMM'15 presentation date, like the figure benches
 
 
 def build_tasks(packets: int, seed: int = SEED):
-    """Per-packet estimation tasks for one AP burst (the executor unit)."""
+    """Per-AP estimation tasks for one burst at every AP (the executor unit)."""
     testbed = small_testbed()
     sim = testbed.simulator()
     rng = np.random.default_rng(seed)
     target = testbed.targets[0].position
-    ap = testbed.aps[0]
-    trace = sim.generate_trace(target, ap, packets, rng=rng)
-    model = SteeringModel.for_grid(
-        sim.grid,
-        num_antennas=ap.num_antennas,
-        antenna_spacing_m=ap.spacing_m,
-    )
-    estimator = JointEstimator(model=model)
-    tasks = [
-        (estimator, frame.csi, index) for index, frame in enumerate(trace.frames)
-    ]
+    tasks = []
+    for ap in testbed.aps:
+        trace = sim.generate_trace(target, ap, packets, rng=rng)
+        model = SteeringModel.for_grid(
+            sim.grid,
+            num_antennas=ap.num_antennas,
+            antenna_spacing_m=ap.spacing_m,
+        )
+        tasks.append((JointEstimator(model=model), [frame.csi for frame in trace]))
     return testbed, sim, tasks
 
 
@@ -67,7 +66,7 @@ def time_baseline(tasks, repeats: int) -> float:
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
-        results = [estimate_packet_safe(task) for task in tasks]
+        results = [estimate_ap_packets(task) for task in tasks]
         best = min(best, time.perf_counter() - start)
         assert len(results) == len(tasks)
     return best
@@ -79,7 +78,7 @@ def time_instrumented(tasks, repeats: int) -> float:
     for _ in range(repeats):
         executor = SerialExecutor(metrics=RuntimeMetrics())
         start = time.perf_counter()
-        results = executor.map_ordered(estimate_packet_safe, tasks, stage="estimate")
+        results = executor.map_ordered(estimate_ap_packets, tasks, stage="estimate")
         best = min(best, time.perf_counter() - start)
         assert len(results) == len(tasks)
     return best
@@ -127,7 +126,7 @@ def main(argv: List[str] | None = None) -> int:
     testbed, sim, tasks = build_tasks(args.packets)
     # Warm the steering cache once so neither side pays the first-call
     # grid construction and the comparison is estimation-only.
-    estimate_packet_safe(tasks[0])
+    estimate_ap_packets(tasks[0])
 
     baseline_s = time_baseline(tasks, args.repeats)
     instrumented_s = time_instrumented(tasks, args.repeats)

@@ -101,8 +101,8 @@ DEFAULT_MANIFEST = SeamManifest(
         # one fix attempt: the per-packet/per-AP estimation pipeline
         "repro.core.pipeline.SpotFi.locate",
         "repro.core.pipeline.locate_from_reports",
-        # pool task function (also found via the map_ordered seam)
-        "repro.core.estimator.estimate_packet_safe",
+        # per-AP pool task function (also found via the map_ordered seam)
+        "repro.core.estimator.estimate_ap_packets",
         # every registered estimator's per-AP entry point (registry
         # indirection: resolved by name, not through the registry)
         "*.estimate_ap",
@@ -111,7 +111,7 @@ DEFAULT_MANIFEST = SeamManifest(
     ),
     worker_roots=(
         "repro.runtime.executor._ChunkRunner.__call__",
-        "repro.core.estimator.estimate_packet_safe",
+        "repro.core.estimator.estimate_ap_packets",
     ),
     dist_roots=(
         # the whole dist layer talks over sockets / child processes

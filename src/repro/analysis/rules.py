@@ -308,7 +308,7 @@ class UnpicklableTaskRule(Rule):
 
     rule_id = "REP006"
     title = "unpicklable task argument handed to a process pool"
-    hint = "hoist the task to a module-level function (see estimator.estimate_packet_safe)"
+    hint = "hoist the task to a module-level function (see estimator.estimate_ap_packets)"
 
     _FANOUT_METHODS = {"map_ordered", "submit", "apply_async", "imap", "imap_unordered"}
 

@@ -103,19 +103,17 @@ class ArrayTrack:
         used = trace[: self.packets_per_fix]
         estimator = self.estimator_for(array)
         log_sum = None
-        grid = None
         num_used = 0
         failure: Optional[EstimationError] = None
-        for frame in used:
-            try:
-                spectrum, grid = estimator.spectrum(frame.csi)
-            except EstimationError as exc:
-                failure = failure or exc
+        spectra, grid = estimator.spectra([frame.csi for frame in used])
+        for spectrum in spectra:
+            if isinstance(spectrum, EstimationError):
+                failure = failure or spectrum
                 continue
             log_spec = np.log(np.maximum(spectrum, 1e-18))
             log_sum = log_spec if log_sum is None else log_sum + log_spec
             num_used += 1
-        if log_sum is None or grid is None:
+        if log_sum is None:
             return ArrayTrackReport(
                 array=array,
                 aoa_deg=float("nan"),

@@ -16,16 +16,16 @@ aperture for decorrelation of coherent multipath.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.estimator import prepare_csi
+from repro.core.estimator import prepare_csi_stack
 from repro.core.indexcache import grid_range
-from repro.core.music import MusicConfig, subspaces
+from repro.core.music import MusicConfig, covariances, subspaces
 from repro.core.peaks import SpectrumPeak, interior_maxima
 from repro.core.steering import SteeringModel
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, EstimationError
 from repro.wifi.csi import CsiTrace
 
 
@@ -81,24 +81,51 @@ class MusicAoaEstimator:
     config: MusicAoaConfig = field(default_factory=MusicAoaConfig)
     sanitize: bool = False
 
+    def estimate_stack(
+        self, csi: Sequence[np.ndarray]
+    ) -> List[Union[List[SpectrumPeak], EstimationError]]:
+        """AoA peaks per packet, strongest first, or the packet's error."""
+        spectra, grid = self.spectra(csi)
+        return [
+            s if isinstance(s, EstimationError) else self._peaks(s, grid)
+            for s in spectra
+        ]
+
     def estimate_packet(self, csi: np.ndarray) -> List[SpectrumPeak]:
         """AoA peaks for one packet, strongest first."""
         spectrum, grid = self.spectrum(csi)
         return self._peaks(spectrum, grid)
 
     def spectrum(self, csi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """(1-D pseudospectrum, AoA grid) for one packet."""
-        x = prepare_csi(csi, self.model, self.sanitize)
-        m = x.shape[0]
+        """(1-D pseudospectrum, AoA grid) for one packet: :meth:`spectra` of one."""
+        (spectrum,), grid = self.spectra([csi])
+        if isinstance(spectrum, EstimationError):
+            raise spectrum
+        return spectrum, grid
+
+    def spectra(
+        self, csi: Sequence[np.ndarray]
+    ) -> Tuple[List[Union[np.ndarray, EstimationError]], np.ndarray]:
+        """Per packet its 1-D pseudospectrum or its error, and the AoA grid.
+
+        The CSI front end, the optional spatial smoothing and the
+        covariances run over the whole packet stack
+        (:func:`~repro.core.estimator.prepare_csi_stack`,
+        :func:`~repro.core.music.covariances`); the eigen-split and the
+        spectrum run per packet.  A packet that fails the front end or
+        has a degenerate covariance gets its :class:`EstimationError`.
+        """
+        stack, errors = prepare_csi_stack(csi, self.model, self.sanitize)
+        x, m = stack, self.model.num_antennas
         sub = self.config.spatial_smoothing_subarray
         if sub:
             if not 2 <= sub <= m:
                 raise ConfigurationError(
                     f"spatial smoothing subarray must be in [2, {m}], got {sub}"
                 )
-            # Every sub-antenna block x[i : i + sub], side by side as snapshots.
-            windows = np.lib.stride_tricks.sliding_window_view(x, sub, axis=0)
-            x = windows.transpose(2, 0, 1).reshape(sub, -1)
+            # Every sub-antenna block x[k, i : i + sub], side by side as snapshots.
+            windows = np.lib.stride_tricks.sliding_window_view(x, sub, axis=1)
+            x = windows.transpose(0, 3, 1, 2).reshape(len(x), sub, -1)
             m = sub
         # max_paths = m leaves the rank cap at m - 1: one noise dimension.
         subspace = MusicConfig(
@@ -106,12 +133,20 @@ class MusicAoaEstimator:
             max_paths=m,
             forward_backward=self.config.forward_backward,
         )
-        _, e_noise, _ = subspaces(x @ x.conj().T, subspace)
         grid = self.config.aoa_grid()
         steering = self.model.subarray_model(m, 1).antenna_vector(grid)  # (A, M')
-        proj = steering.conj() @ e_noise  # (A, K)
-        denom = np.maximum(np.sum(np.abs(proj) ** 2, axis=1) / m, 1e-18)
-        return 1.0 / denom, grid
+        spectra: List[Union[np.ndarray, EstimationError, None]] = list(errors)
+        live = [k for k, error in enumerate(errors) if error is None]
+        for k, cov in zip(live, covariances(x)):
+            try:
+                _, e_noise, _ = subspaces(cov, subspace)
+            except EstimationError as exc:
+                spectra[k] = exc
+                continue
+            proj = steering.conj() @ e_noise  # (A, K)
+            denom = np.maximum(np.sum(np.abs(proj) ** 2, axis=1) / m, 1e-18)
+            spectra[k] = 1.0 / denom
+        return spectra, grid  # type: ignore[return-value]
 
     def _peaks(self, spectrum: np.ndarray, grid: np.ndarray) -> List[SpectrumPeak]:
         # Interior local maxima only (the border rule of the 2-D finder).
@@ -133,16 +168,17 @@ class MusicAoaEstimator:
     # ------------------------------------------------------------------
     def estimate_trace_best(self, trace: CsiTrace) -> List[float]:
         """Strongest-peak AoA per packet over a trace."""
-        aoas = []
-        for frame in trace:
-            peaks = self.estimate_packet(frame.csi)
-            if peaks:
-                aoas.append(peaks[0].aoa_deg)
-        return aoas
+        return [peaks[0].aoa_deg for peaks in self._trace_peaks(trace) if peaks]
 
     def estimate_trace_all(self, trace: CsiTrace) -> List[float]:
         """Every peak AoA over all packets of a trace."""
-        aoas = []
-        for frame in trace:
-            aoas.extend(p.aoa_deg for p in self.estimate_packet(frame.csi))
-        return aoas
+        return [p.aoa_deg for peaks in self._trace_peaks(trace) for p in peaks]
+
+    def _trace_peaks(self, trace: CsiTrace) -> List[List[SpectrumPeak]]:
+        """Every packet's peaks; raises the first failed packet's error."""
+        peaks: List[List[SpectrumPeak]] = []
+        for outcome in self.estimate_stack([frame.csi for frame in trace]):
+            if isinstance(outcome, EstimationError):
+                raise outcome
+            peaks.append(outcome)
+        return peaks

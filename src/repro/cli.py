@@ -6,7 +6,7 @@ Commands:
   save it as a portable ``.npz`` dataset.
 * ``locate`` — localize a saved dataset with SpotFi (optionally also the
   ArrayTrack baseline) and print the fix.  ``--workers N`` fans the
-  per-packet estimation across N processes (default 1 = serial).
+  estimation (one task per AP) across N processes (default 1 = serial).
 * ``serve`` — replay a saved dataset through the streaming
   :class:`~repro.server.SpotFiServer`, with the runtime's worker,
   backpressure and eviction knobs, printing each fix event and, on
@@ -692,7 +692,7 @@ _OPTIONS: Dict[str, Dict[str, Any]] = {
     "--workers": dict(
         type=int,
         default=1,
-        help="worker processes for per-packet estimation (1 = serial)",
+        help="worker processes for estimation, one task per AP (1 = serial)",
     ),
     "--min-aps": dict(type=int, default=2),
     "--track": dict(action="store_true", help="Kalman-filter the fixes"),

@@ -39,10 +39,15 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.constants import SPEED_OF_LIGHT
-from repro.core.estimator import PathEstimate, SubspaceEstimator
-from repro.core.music import covariance, subspaces
-from repro.core.smoothing import smooth_csi
+from repro.core.estimator import (
+    PacketOutcome,
+    PathEstimate,
+    SubspaceEstimator,
+    prepare_csi_stack,
+)
+from repro.core.smoothing import smooth_csi_stack
 from repro.errors import EstimationError
+from repro.obs.trace import NOOP_TRACER, Tracer
 
 
 def _selection_indices(
@@ -81,17 +86,45 @@ class EspritEstimator(SubspaceEstimator):
         )
 
     # ------------------------------------------------------------------
-    def estimate_packet(
-        self, csi: np.ndarray, packet_index: int = 0
-    ) -> List[PathEstimate]:
-        """Grid-free (AoA, ToF) estimates for one packet.
+    def estimate_stack(
+        self,
+        csi: Sequence[np.ndarray],
+        first_index: int = 0,
+        tracer: Tracer = NOOP_TRACER,
+    ) -> List[PacketOutcome]:
+        """Grid-free (AoA, ToF) estimates for every packet of one AP.
 
-        Returns estimates sorted by descending path power (least-squares
-        amplitude against the estimated steering vectors).
+        The front end, smoothing and covariances run over the whole
+        stack; the eigen-split and the shift-invariance solve run per
+        packet.  Each packet's estimates are sorted by descending path
+        power (least-squares amplitude against the estimated steering
+        vectors) and equal :meth:`estimate_packet` of that packet alone.
+        Everything runs under one ``esprit`` span, which ends with status
+        ``error`` when a packet failed.
         """
-        csi = self.stage_sanitize(csi)
-        x = smooth_csi(csi, self.smoothing)
-        e_signal, _, _ = subspaces(covariance(x), self.music, num_snapshots=x.shape[1])
+        with tracer.span("esprit", packets=len(csi)) as span:
+            stack, errors = prepare_csi_stack(csi, self.model, self.sanitize)
+            outcomes: List[Optional[PacketOutcome]] = list(errors)
+            live = [k for k, error in enumerate(errors) if error is None]
+            splits = self._eigen_split(smooth_csi_stack(stack, self.smoothing))
+            for k, packet, split in zip(live, stack, splits):
+                if isinstance(split, EstimationError):
+                    outcomes[k] = split
+                    continue
+                try:
+                    outcomes[k] = self._packet_paths(packet, split[0], first_index + k)
+                except EstimationError as exc:
+                    outcomes[k] = exc
+            self._mark_failed(span, outcomes)
+            span.set(
+                "estimates", sum(len(o) for o in outcomes if isinstance(o, list))
+            )
+        return outcomes  # type: ignore[return-value]
+
+    def _packet_paths(
+        self, csi: np.ndarray, e_signal: np.ndarray, packet_index: int
+    ) -> List[PathEstimate]:
+        """One packet's paths from its sanitized CSI and signal subspace."""
         # Shift invariance needs J1 E_s full column rank: L cannot exceed
         # the smaller selection's row count nor make pinv ill-posed.
         tau_j1, tau_j2, theta_j1, theta_j2 = self._selections

@@ -1,34 +1,44 @@
-"""Per-packet joint (AoA, ToF) estimation — Alg. 2 lines 3-7 for one packet.
+"""Joint (AoA, ToF) estimation — Alg. 2 lines 3-7 for each packet of an AP.
 
-:func:`prepare_csi` is the front end every per-packet estimator shares:
-CSI validation, the shape check against the steering model, and
-sanitization (Algorithm 1).  :class:`SubspaceEstimator` holds what the
-smoothed-CSI estimators have in common, and :class:`JointEstimator`
-chains that front end, CSI smoothing (Fig. 4), MUSIC (lines 5-6) and
-peak extraction (line 7), producing the :class:`PathEstimate` points
-that the clustering stage consumes.
+:func:`prepare_csi_stack` is the front end every per-packet estimator
+shares: CSI validation, the shape check against the steering model, and
+sanitization (Algorithm 1), over all of an AP's packets at once.
+:class:`SubspaceEstimator` holds what the smoothed-CSI estimators have in
+common, and :class:`JointEstimator` chains that front end, CSI smoothing
+(Fig. 4), MUSIC (lines 5-6) and peak extraction (line 7) into one kernel
+over the AP's ``(K, M, N)`` packet stack, producing the
+:class:`PathEstimate` points that the clustering stage consumes.  Each
+packet's estimates are exactly those of the packet alone: every
+per-packet entry point (``estimate_packet``, the ``stage_*`` methods,
+:func:`prepare_csi`) is the kernel's K = 1 call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.music import (
-    MusicConfig,
-    covariance,
-    music_spectrum,
-    music_spectrum_from_signal,
-    subspaces,
+from repro.core.music import MusicConfig, covariances, subspace_spectrum, subspaces
+from repro.core.peaks import (
+    PeakCandidates,
+    merge_close_peaks,
+    peak_candidates,
+    select_peaks,
 )
-from repro.core.peaks import SpectrumPeak, find_peaks_2d, merge_close_peaks
-from repro.core.sanitize import sanitize_csi
-from repro.core.smoothing import SmoothingConfig, smooth_csi, smooth_csi_batch
+from repro.core.sanitize import sanitize_csi_stack
+from repro.core.smoothing import (
+    SmoothingConfig,
+    smooth_csi,
+    smooth_csi_batch,
+    smooth_csi_stack,
+)
 from repro.core.steering import SteeringModel
 from repro.errors import ConfigurationError, EstimationError
 from repro.analysis.contracts import contract
+from repro.obs.artifacts import downsample_spectrum
+from repro.obs.trace import NOOP_TRACER, SpanHandle, Tracer
 from repro.runtime.cache import default_steering_cache
 from repro.wifi.arrays import UniformLinearArray
 from repro.wifi.csi import CsiTrace, validate_csi_matrix
@@ -58,26 +68,70 @@ class PathEstimate:
     packet_index: int = 0
 
 
+#: One packet's result from a stacked kernel: its path estimates, or the
+#: :class:`EstimationError` that stopped it.
+PacketOutcome = Union[List[PathEstimate], EstimationError]
+
+
+def _first_error(outcomes: Sequence[object]) -> Optional[EstimationError]:
+    return next((o for o in outcomes if isinstance(o, EstimationError)), None)
+
+
+def prepare_csi_stack(
+    csi: Sequence[np.ndarray], model: SteeringModel, sanitize: bool = True
+) -> Tuple[np.ndarray, List[Optional[EstimationError]]]:
+    """The shared front end (Alg. 2 lines 3-4) over one AP's packets.
+
+    Validates every packet's CSI (a structurally invalid matrix raises
+    :class:`~repro.errors.CsiShapeError`), rejects a shape that differs
+    from the steering model's ``(num_antennas, num_subcarriers)`` with a
+    per-packet :class:`EstimationError`, and applies Algorithm 1 to the
+    rest in one stacked pass when ``sanitize`` is set.  Returns the
+    ``(K', M, N)`` stack of the packets that passed, in order, and one
+    entry per input packet: its error, or None if it is in the stack.
+    """
+    shape = (model.num_antennas, model.num_subcarriers)
+    passed: List[np.ndarray] = []
+    errors: List[Optional[EstimationError]] = []
+    for matrix in csi:
+        matrix = validate_csi_matrix(matrix)
+        if matrix.shape == shape:
+            passed.append(matrix)
+            errors.append(None)
+        else:
+            errors.append(
+                EstimationError(
+                    f"CSI shape {matrix.shape} does not match the steering "
+                    f"model {shape}"
+                )
+            )
+    stack = np.stack(passed) if passed else np.zeros((0,) + shape, dtype=np.complex128)
+    if sanitize:
+        stack = sanitize_csi_stack(stack)
+    return stack, errors
+
+
+def prepare_csi_all(
+    csi: Sequence[np.ndarray], model: SteeringModel, sanitize: bool = True
+) -> np.ndarray:
+    """:func:`prepare_csi_stack` for callers that need every packet.
+
+    Raises the first failed packet's :class:`EstimationError` instead of
+    returning it, so the stack holds all ``K`` packets.
+    """
+    stack, errors = prepare_csi_stack(csi, model, sanitize)
+    error = _first_error(errors)
+    if error is not None:
+        raise error
+    return stack
+
+
 @contract(csi="(M,N)", returns="(M,N) complex128")
 def prepare_csi(
     csi: np.ndarray, model: SteeringModel, sanitize: bool = True
 ) -> np.ndarray:
-    """The shared per-packet front end (Alg. 2 lines 3-4).
-
-    Validates one packet's CSI, rejects a shape that differs from the
-    steering model's ``(num_antennas, num_subcarriers)`` with an
-    :class:`EstimationError` (which degrades only that packet's AP), and
-    applies Algorithm 1 when ``sanitize`` is set.
-    """
-    csi = validate_csi_matrix(csi)
-    if csi.shape != (model.num_antennas, model.num_subcarriers):
-        raise EstimationError(
-            f"CSI shape {csi.shape} does not match the steering model "
-            f"({model.num_antennas}, {model.num_subcarriers})"
-        )
-    if sanitize:
-        csi = sanitize_csi(csi)
-    return csi
+    """The shared per-packet front end: :func:`prepare_csi_all` of one."""
+    return prepare_csi_all([csi], model, sanitize)[0]
 
 
 @dataclass
@@ -86,8 +140,10 @@ class SubspaceEstimator:
 
     Holds what 2-D MUSIC (:class:`JointEstimator`) and ESPRIT
     (:class:`~repro.core.esprit.EspritEstimator`) have in common: the
-    front end (:meth:`stage_sanitize`), the subarray steering model and
-    the pooled trace loop.  Subclasses implement :meth:`estimate_packet`.
+    stacked front end and eigen-split, the subarray steering model and
+    the trace call.  Subclasses implement :meth:`estimate_stack`, the one
+    kernel over an AP's ``(K, M, N)`` packet stack; every per-packet
+    method is its K = 1 call.
 
     Attributes
     ----------
@@ -121,11 +177,34 @@ class SubspaceEstimator:
         """Steering model of the smoothed subarray the estimator runs on."""
         return self._sub_model
 
+    def estimate_stack(
+        self,
+        csi: Sequence[np.ndarray],
+        first_index: int = 0,
+        tracer: Tracer = NOOP_TRACER,
+    ) -> List[PacketOutcome]:
+        """Alg. 2 lines 3-7 for every packet of one AP in one pass.
+
+        ``csi`` holds the AP's packets in order; packet ``k``'s estimates
+        carry ``packet_index = first_index + k``.  Returns one
+        :data:`PacketOutcome` per packet, so a failed packet costs only
+        itself; a structurally invalid CSI matrix raises.  ``tracer``
+        receives the stage spans.
+        """
+        raise NotImplementedError
+
     def estimate_packet(
         self, csi: np.ndarray, packet_index: int = 0
     ) -> List[PathEstimate]:
-        """(AoA, ToF) estimates for one packet, strongest first."""
-        raise NotImplementedError
+        """(AoA, ToF) estimates for one packet, strongest first.
+
+        The K = 1 call of :meth:`estimate_stack`; raises the packet's
+        :class:`EstimationError`.
+        """
+        (outcome,) = self.estimate_stack([csi], first_index=packet_index)
+        if isinstance(outcome, EstimationError):
+            raise outcome
+        return outcome
 
     @contract(csi="(M,N)", returns="(M,N) complex128")
     def stage_sanitize(self, csi: np.ndarray) -> np.ndarray:
@@ -133,11 +212,44 @@ class SubspaceEstimator:
         return prepare_csi(csi, self.model, self.sanitize)
 
     def estimate_trace(self, trace: CsiTrace) -> List[PathEstimate]:
-        """Estimates pooled over every packet of a trace (Alg. 2 lines 2-8)."""
+        """Estimates pooled over every packet of a trace (Alg. 2 lines 2-8).
+
+        Raises the first failed packet's :class:`EstimationError`.
+        """
         estimates: List[PathEstimate] = []
-        for index, frame in enumerate(trace):
-            estimates.extend(self.estimate_packet(frame.csi, packet_index=index))
+        for outcome in self.estimate_stack([frame.csi for frame in trace]):
+            if isinstance(outcome, EstimationError):
+                raise outcome
+            estimates.extend(outcome)
         return estimates
+
+    def _eigen_split(
+        self, x: np.ndarray
+    ) -> List[Union[Tuple[np.ndarray, np.ndarray], EstimationError]]:
+        """Lines 5-6 up to the subspaces: ``(E_S, E_N)`` per smoothed matrix.
+
+        The covariances come from one batched matmul; ``subspaces`` (and
+        so ``eigh``) runs per packet, and a degenerate covariance fails
+        only its own packet.
+        """
+        split: List[Union[Tuple[np.ndarray, np.ndarray], EstimationError]] = []
+        for cov in covariances(x):
+            try:
+                e_signal, e_noise, _ = subspaces(
+                    cov, self.music, num_snapshots=x.shape[2]
+                )
+            except EstimationError as exc:
+                split.append(exc)
+            else:
+                split.append((e_signal, e_noise))
+        return split
+
+    @staticmethod
+    def _mark_failed(span: SpanHandle, outcomes: Sequence[object]) -> None:
+        """Flag a stage span as failed when any packet's outcome is an error."""
+        error = _first_error(outcomes)
+        if error is not None:
+            span.fail(type(error).__name__)
 
 
 @dataclass
@@ -167,20 +279,109 @@ class JointEstimator(SubspaceEstimator):
         super().__post_init__()
 
     # ------------------------------------------------------------------
+    # The kernel
+    # ------------------------------------------------------------------
+    def estimate_stack(
+        self,
+        csi: Sequence[np.ndarray],
+        first_index: int = 0,
+        tracer: Tracer = NOOP_TRACER,
+    ) -> List[PacketOutcome]:
+        """Alg. 2 lines 3-7 for every packet of one AP in one pass.
+
+        Sanitize and smooth run over the whole stack, the covariances as
+        one batched matmul; ``eigh`` and the spectrum run per packet, and
+        each spectrum is reduced to its peak candidates before the next
+        is computed.  One stacked select then picks every packet's peaks.
+        Stages run under ``sanitize``, ``smooth`` and ``music`` spans; a
+        stage where a packet failed ends with status ``error``.  With
+        ``capture_artifacts`` the ``music`` span also carries the
+        downsampled mean pseudospectrum.  Each packet's estimates equal
+        :meth:`estimate_packet` of that packet alone.
+        """
+        with tracer.span("sanitize", packets=len(csi)) as span:
+            stack, errors = prepare_csi_stack(csi, self.model, self.sanitize)
+            self._mark_failed(span, errors)
+        with tracer.span("smooth"):
+            x = smooth_csi_stack(stack, self.smoothing)
+        outcomes: List[Optional[PacketOutcome]] = list(errors)
+        live = [k for k, error in enumerate(errors) if error is None]
+        with tracer.span("music", packets=len(live)) as span:
+            grids = default_steering_cache().grids_for(self._sub_model, self.music)
+            capture = span.recording and tracer.config.capture_artifacts
+            total: Optional[np.ndarray] = None
+            candidates: List[PeakCandidates] = []
+            searched: List[int] = []
+            splits = self._eigen_split(x)
+            for k, split in zip(live, splits):
+                if isinstance(split, EstimationError):
+                    outcomes[k] = split
+                    continue
+                spectrum = subspace_spectrum(*split, self._sub_model, grids)
+                candidates.append(
+                    self._candidates(spectrum, grids.aoa_grid_deg, grids.tof_grid_s)
+                )
+                searched.append(k)
+                if capture:
+                    total = spectrum if total is None else total + spectrum
+            found = self._select(
+                candidates,
+                grids.aoa_grid_deg,
+                grids.tof_grid_s,
+                [first_index + k for k in searched],
+            )
+            for k, estimates in zip(searched, found):
+                outcomes[k] = estimates
+            self._mark_failed(span, splits)
+            span.set("estimates", sum(len(e) for e in found))
+            if total is not None:
+                span.set(
+                    "pseudospectrum",
+                    downsample_spectrum(
+                        total / len(searched),
+                        grids.aoa_grid_deg,
+                        grids.tof_grid_s,
+                        tracer.config.artifact_max_bins,
+                    ),
+                )
+        return outcomes  # type: ignore[return-value]
+
+    def _candidates(
+        self, spectrum: np.ndarray, aoa_grid: np.ndarray, tof_grid: np.ndarray
+    ) -> PeakCandidates:
+        """Line 7's per-packet half: the spectrum's peak candidates."""
+        return peak_candidates(
+            spectrum, aoa_grid, tof_grid, min_rel_height_db=self.min_rel_height_db
+        )
+
+    def _select(
+        self,
+        candidates: Sequence[PeakCandidates],
+        aoa_grid: np.ndarray,
+        tof_grid: np.ndarray,
+        packet_indices: Sequence[int],
+    ) -> List[List[PathEstimate]]:
+        """Line 7's stacked half: each packet's merged, capped estimates."""
+        peaks = select_peaks(
+            candidates,
+            aoa_grid,
+            tof_grid,
+            max_peaks=self.max_peaks * 2,
+            min_rel_height_db=self.min_rel_height_db,
+        )
+        return [
+            [
+                PathEstimate(
+                    aoa_deg=p.aoa_deg, tof_s=p.tof_s, power=p.power, packet_index=i
+                )
+                for p in merge_close_peaks(found)[: self.max_peaks]
+            ]
+            for i, found in zip(packet_indices, peaks)
+        ]
+
+    # ------------------------------------------------------------------
     # Single packet
     # ------------------------------------------------------------------
-    def estimate_packet(
-        self, csi: np.ndarray, packet_index: int = 0
-    ) -> List[PathEstimate]:
-        """Estimate the (AoA, ToF) of every resolvable path in one packet.
-
-        Returns estimates sorted by descending spectrum power.  Raises
-        :class:`EstimationError` only for structurally invalid input; a
-        packet whose spectrum has no acceptable peaks yields an empty list.
-        """
-        spectrum, aoa_grid, tof_grid = self.spectrum(csi)
-        return self.stage_peaks(spectrum, aoa_grid, tof_grid, packet_index)
-
     def spectrum(
         self, csi: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -194,9 +395,8 @@ class JointEstimator(SubspaceEstimator):
     # ------------------------------------------------------------------
     # Pipeline stages (Alg. 2 lines 3-7, individually addressable)
     # ------------------------------------------------------------------
-    # ``estimate_packet`` is their composition; the traced pipeline path
-    # (repro.core.pipeline with a real repro.obs tracer) drives them one
-    # at a time so each stage gets its own span.
+    # Each is the K = 1 case of the matching step of ``estimate_stack``,
+    # for callers that inspect one packet's intermediate results.
 
     @contract(csi="(M,N)", returns="(S,C) complex128")
     def stage_smooth(self, csi: np.ndarray) -> np.ndarray:
@@ -207,28 +407,16 @@ class JointEstimator(SubspaceEstimator):
         self, x: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """MUSIC over a smoothed matrix -> (spectrum, aoa_grid, tof_grid)."""
-        e_signal, e_noise, _ = subspaces(
-            covariance(x), self.music, num_snapshots=x.shape[1]
-        )
+        x = np.asarray(x, dtype=np.complex128)
+        if x.ndim != 2:
+            raise EstimationError(
+                f"measurement matrix must be 2-D, got shape {x.shape}"
+            )
+        (split,) = self._eigen_split(x[None])
+        if isinstance(split, EstimationError):
+            raise split
         grids = default_steering_cache().grids_for(self._sub_model, self.music)
-        if e_signal.shape[1] <= e_noise.shape[1]:
-            spectrum = music_spectrum_from_signal(
-                e_signal,
-                self._sub_model,
-                grids.aoa_grid_deg,
-                grids.tof_grid_s,
-                phi=grids.phi,
-                omega=grids.omega,
-            )
-        else:
-            spectrum = music_spectrum(
-                e_noise,
-                self._sub_model,
-                grids.aoa_grid_deg,
-                grids.tof_grid_s,
-                phi=grids.phi,
-                omega=grids.omega,
-            )
+        spectrum = subspace_spectrum(*split, self._sub_model, grids)
         return spectrum, grids.aoa_grid_deg, grids.tof_grid_s
 
     def stage_peaks(
@@ -239,23 +427,8 @@ class JointEstimator(SubspaceEstimator):
         packet_index: int = 0,
     ) -> List[PathEstimate]:
         """Peak extraction (line 7): spectrum -> sorted path estimates."""
-        peaks = find_peaks_2d(
-            spectrum,
-            aoa_grid,
-            tof_grid,
-            max_peaks=self.max_peaks * 2,
-            min_rel_height_db=self.min_rel_height_db,
-        )
-        peaks = merge_close_peaks(peaks)[: self.max_peaks]
-        return [
-            PathEstimate(
-                aoa_deg=p.aoa_deg,
-                tof_s=p.tof_s,
-                power=p.power,
-                packet_index=packet_index,
-            )
-            for p in peaks
-        ]
+        candidates = self._candidates(spectrum, aoa_grid, tof_grid)
+        return self._select([candidates], aoa_grid, tof_grid, [packet_index])[0]
 
     def estimate_burst(self, trace: CsiTrace) -> List[PathEstimate]:
         """One MUSIC pass over a whole burst (pooled-covariance variant).
@@ -269,12 +442,15 @@ class JointEstimator(SubspaceEstimator):
         actually more accurate — which is precisely why the paper
         aggregates after estimation, not before.  This method exists for
         that comparison and for callers whose CSI shares one sampling
-        reference (e.g. synchronized captures).
+        reference (e.g. synchronized captures).  Uses the same stacked
+        front end as :meth:`estimate_stack`; the first failed packet's
+        :class:`EstimationError` is raised.
         """
         if len(trace) == 0:
             raise EstimationError("cannot estimate an empty trace")
-        frames = np.stack([self.stage_sanitize(frame.csi) for frame in trace])
-        x = smooth_csi_batch(frames, self.smoothing)
+        csi = [frame.csi for frame in trace]
+        stack = prepare_csi_all(csi, self.model, self.sanitize)
+        x = smooth_csi_batch(stack, self.smoothing)
         return self.stage_peaks(*self.stage_music(x))
 
     # ------------------------------------------------------------------
@@ -302,24 +478,22 @@ class JointEstimator(SubspaceEstimator):
         )
 
 
-def estimate_packet_safe(
-    task: Tuple[SubspaceEstimator, np.ndarray, int]
-) -> Union[List[PathEstimate], EstimationError]:
-    """Executor task: one packet through one estimator, failures as values.
+def estimate_ap_packets(
+    task: Tuple[SubspaceEstimator, Sequence[np.ndarray]]
+) -> List[PacketOutcome]:
+    """Executor task: every packet of one AP through the stacked kernel.
 
-    ``task`` is ``(estimator, csi, packet_index)``.  Module-level so a
+    ``task`` is ``(estimator, csi)`` with ``csi`` the AP's packets in
+    order.  Module-level so a
     :class:`~repro.runtime.executor.ParallelExecutor` can pickle it into
     worker processes.  :meth:`repro.core.pipeline.SpotFi.process_aps`
-    maps it over every packet of every AP in one batch; returning an
-    :class:`EstimationError` instead of raising it lets that failure
-    mark only its own AP unusable.  Structural errors (e.g.
+    maps it over every AP in one batch.  Each packet's result is its
+    estimates or its :class:`EstimationError`, so a failure marks only
+    its own AP unusable; structural errors (e.g.
     :class:`~repro.errors.CsiShapeError`) still raise and abort the map.
     """
-    estimator, csi, packet_index = task
-    try:
-        return estimator.estimate_packet(csi, packet_index=packet_index)
-    except EstimationError as exc:
-        return exc
+    estimator, csi = task
+    return estimator.estimate_stack(csi)
 
 
 @contract(returns="(K,4) float64")

@@ -98,3 +98,32 @@ def ap_grid_geometry(
     x.setflags(write=False)
     aoa.setflags(write=False)
     return x, aoa
+
+
+@lru_cache(maxsize=16)
+def smoothing_index(
+    num_subcarriers: int,
+    sub_antennas: int,
+    sub_subcarriers: int,
+    ant_shifts: int,
+    sub_shifts: int,
+) -> np.ndarray:
+    """(S, C) flat CSI positions of every Fig. 4 subarray placement.
+
+    Entry ``[r, c]`` indexes a row-major CSI matrix with
+    ``num_subcarriers`` columns: row ``r`` is the sensor (antenna-major
+    within the subarray), column ``c`` the placement, antenna-shift-major
+    (all subcarrier shifts of antenna shift 0 first).  Cached and
+    read-only.
+    """
+    sensor = (
+        index_vector(sub_antennas)[:, None] * num_subcarriers
+        + index_vector(sub_subcarriers)[None, :]
+    ).reshape(-1, 1)
+    placement = (
+        index_vector(ant_shifts)[:, None] * num_subcarriers
+        + index_vector(sub_shifts)[None, :]
+    ).reshape(1, -1)
+    out = sensor + placement
+    out.setflags(write=False)
+    return out

@@ -23,7 +23,7 @@ subspace rank.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 import numpy as np
 
@@ -31,6 +31,9 @@ from repro.analysis.contracts import contract
 from repro.core.indexcache import grid_range
 from repro.core.steering import SteeringModel
 from repro.errors import ConfigurationError, EstimationError
+
+if TYPE_CHECKING:  # the cache imports this module
+    from repro.runtime.cache import SteeringGrids
 
 
 @dataclass(frozen=True)
@@ -110,13 +113,26 @@ def forward_backward_average(cov: np.ndarray) -> np.ndarray:
     return avg
 
 
+@contract(smoothed="(K,S,C)", returns="(K,S,S) complex128")
+def covariances(smoothed: np.ndarray) -> np.ndarray:
+    """X X^H of every smoothed matrix in a ``(K, S, C)`` stack.
+
+    One batched matmul; packet ``k`` of the result is
+    :func:`covariance` of ``smoothed[k]``, element for element.
+    """
+    x = np.asarray(smoothed, dtype=np.complex128)
+    if x.ndim != 3:
+        raise EstimationError(f"measurement stack must be 3-D, got shape {x.shape}")
+    return x @ x.conj().transpose(0, 2, 1)
+
+
 @contract(returns="(S,S) complex128")
 def covariance(smoothed: np.ndarray) -> np.ndarray:
     """X X^H for a smoothed measurement matrix (sensors x snapshots)."""
     x = np.asarray(smoothed, dtype=np.complex128)
     if x.ndim != 2:
         raise EstimationError(f"measurement matrix must be 2-D, got shape {x.shape}")
-    return x @ x.conj().T
+    return covariances(x[None])[0]
 
 
 @contract(eigenvalues="(S)", num_snapshots="int", returns="int")
@@ -195,13 +211,28 @@ def noise_subspace(
     return e_noise, num_signals
 
 
+@contract(phi="(A,M)", returns="(A,2*M*M) float64")
+def steering_weights(phi: np.ndarray) -> np.ndarray:
+    """The real ``(A, 2 M^2)`` grid factor of the projector-form spectrum.
+
+    Row ``a`` holds ``[Re w_a, -Im w_a]`` with
+    ``w_a = conj(phi_m) phi_m'`` over every antenna pair ``(m, m')``, so
+    that ``Re(W Q) = [Re W, -Im W] @ [Re Q; Im Q]`` (see
+    :func:`_projected_energy`).  It depends only on the AoA grid, so
+    :class:`repro.runtime.cache.SteeringCache` keeps one per grid.
+    """
+    phi = np.asarray(phi)
+    m = phi.shape[1]
+    w = (phi.conj()[:, :, None] * phi[:, None, :]).reshape(-1, m * m)  # (A, M*M)
+    return np.concatenate((w.real, -w.imag), axis=1)
+
+
 def _projected_energy(
     basis: np.ndarray,
     model: SteeringModel,
-    aoa_grid_deg: np.ndarray,
-    tof_grid_s: np.ndarray,
-    phi: Optional[np.ndarray],
-    omega: Optional[np.ndarray],
+    omega: np.ndarray,
+    omega_conj: np.ndarray,
+    weights: np.ndarray,
 ) -> np.ndarray:
     """``|E^H a(theta, tau)|^2 / |a|^2`` over the grid, in projector form.
 
@@ -209,8 +240,10 @@ def _projected_energy(
     ``a = phi (x) omega``, splitting P into M x M blocks ``P_mm'`` of
     N x N gives ``a^H P a = sum_mm' conj(phi_m) phi_m' q_mm'(tau)`` with
     ``q_mm'(tau) = omega^H P_mm' omega``.  Grid-sized work is then one
-    real (A, 2M^2) x (2M^2, T) product, independent of the rank K.
-    Returns a fresh (A, T) float array.
+    real (A, 2M^2) x (2M^2, T) product against ``weights``
+    (:func:`steering_weights`), independent of the rank K.  ``omega`` is
+    the (T, N) subcarrier steering matrix and ``omega_conj`` its
+    conjugate.  Returns a fresh (A, T) float array.
     """
     basis = np.asarray(basis, dtype=np.complex128)
     m, n = model.num_antennas, model.num_subcarriers
@@ -219,22 +252,33 @@ def _projected_energy(
             f"subspace basis has shape {basis.shape} but the steering "
             f"model describes {m}x{n}={m * n} sensors"
         )
-    if phi is None:
-        phi = model.antenna_vector(np.asarray(aoa_grid_deg, dtype=float))  # (A, M)
-    if omega is None:
-        omega = model.subcarrier_vector(np.asarray(tof_grid_s, dtype=float))  # (T, N)
     # Blocks laid out (N, M*M*N) so one matmul applies every P_mm' to
     # conj(omega); the row-wise dot with omega finishes omega^H P_mm' omega.
     blocks = (basis @ basis.conj().T).reshape(m, n, m, n).transpose(1, 0, 2, 3)
-    half = (omega.conj() @ blocks.reshape(n, m * m * n)).reshape(-1, m * m, n)
+    half = (omega_conj @ blocks.reshape(n, m * m * n)).reshape(-1, m * m, n)
     q = (half * omega[:, None, :]).sum(axis=2).T  # (M*M, T)
-    w = (phi.conj()[:, :, None] * phi[:, None, :]).reshape(-1, m * m)  # (A, M*M)
     # a^H P a is real (P is Hermitian): Re(W Q) = Re W Re Q - Im W Im Q.
-    energy = np.concatenate((w.real, -w.imag), axis=1) @ np.concatenate((q.real, q.imag))
+    energy = weights @ np.concatenate((q.real, q.imag))
     # The steering vector has norm sqrt(M*N); normalizing makes spectra
     # comparable across configurations.
     energy /= m * n
     return energy
+
+
+def _grid_energy(
+    basis: np.ndarray,
+    model: SteeringModel,
+    aoa_grid_deg: np.ndarray,
+    tof_grid_s: np.ndarray,
+    phi: Optional[np.ndarray],
+    omega: Optional[np.ndarray],
+) -> np.ndarray:
+    """:func:`_projected_energy` on explicit grids (steering built if absent)."""
+    if phi is None:
+        phi = model.antenna_vector(np.asarray(aoa_grid_deg, dtype=float))  # (A, M)
+    if omega is None:
+        omega = model.subcarrier_vector(np.asarray(tof_grid_s, dtype=float))  # (T, N)
+    return _projected_energy(basis, model, omega, omega.conj(), steering_weights(phi))
 
 
 def _pseudospectrum(denom: np.ndarray) -> np.ndarray:
@@ -281,7 +325,7 @@ def music_spectrum(
         more likely a path.
     """
     return _pseudospectrum(
-        _projected_energy(e_noise, model, aoa_grid_deg, tof_grid_s, phi, omega)
+        _grid_energy(e_noise, model, aoa_grid_deg, tof_grid_s, phi, omega)
     )
 
 
@@ -306,8 +350,32 @@ def music_spectrum_from_signal(
     orthonormal basis).  The estimator uses whichever basis is smaller.
     ``phi``/``omega`` behave as in :func:`music_spectrum`.
     """
-    energy = _projected_energy(e_signal, model, aoa_grid_deg, tof_grid_s, phi, omega)
+    energy = _grid_energy(e_signal, model, aoa_grid_deg, tof_grid_s, phi, omega)
     return _pseudospectrum(np.subtract(1.0, energy, out=energy))
+
+
+def subspace_spectrum(
+    e_signal: np.ndarray,
+    e_noise: np.ndarray,
+    model: SteeringModel,
+    grids: "SteeringGrids",
+) -> np.ndarray:
+    """MUSIC spectrum on cached grids from whichever basis is smaller.
+
+    Equals :func:`music_spectrum_from_signal` of ``e_signal`` when it has
+    no more columns than ``e_noise``, else :func:`music_spectrum` of
+    ``e_noise``, both on ``grids``' AoA/ToF grids; the grid factors
+    (``conj(omega)`` and :func:`steering_weights`) come from the cache
+    instead of being rebuilt per packet.
+    """
+    if e_signal.shape[1] <= e_noise.shape[1]:
+        energy = _projected_energy(
+            e_signal, model, grids.omega, grids.omega_conj, grids.weights
+        )
+        return _pseudospectrum(np.subtract(1.0, energy, out=energy))
+    return _pseudospectrum(
+        _projected_energy(e_noise, model, grids.omega, grids.omega_conj, grids.weights)
+    )
 
 
 @contract(e_noise="(MN,K)", aoa_deg="float", tof_s="float", returns="float")

@@ -5,12 +5,18 @@ quadratic (log-domain) interpolation around the grid cell, and returns the
 strongest few as (AoA, ToF, power) triples.  Only cells above the
 relative-height threshold are tested against their neighbours; on MUSIC
 spectra that is a few percent of the grid.
+
+The search has two halves so that an AP's packets share one pass:
+:func:`peak_candidates` reduces each spectrum to its peak cells and their
+neighbourhoods while the spectrum is live, and :func:`select_peaks`
+sorts, thresholds, caps and refines every packet's peaks at once.
+:func:`find_peaks_2d` is the one-spectrum case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,6 +41,116 @@ class SpectrumPeak:
     power: float
 
 
+class PeakCandidates(NamedTuple):
+    """One spectrum's peaks awaiting :func:`select_peaks`.
+
+    Attributes
+    ----------
+    index:
+        Flat (row-major) indices of the peak cells, ascending.
+    window:
+        ``(n * n, len(index))`` values of each peak's ``n x n``
+        neighbourhood (nearest-edge indexing at the grid border),
+        row-major within the window; the centre row is the peak itself.
+    """
+
+    index: np.ndarray
+    window: np.ndarray
+
+
+def peak_candidates(
+    spectrum: np.ndarray,
+    aoa_grid_deg: np.ndarray,
+    tof_grid_s: np.ndarray,
+    min_rel_height_db: float = 20.0,
+    neighborhood: int = 3,
+    exclude_border: bool = True,
+) -> PeakCandidates:
+    """The per-packet half of the search: one spectrum's peak cells.
+
+    Only cells at or above ``min_rel_height_db`` below the strongest
+    allowed cell are tested.  When no peak has that top value, the
+    strongest peak (and with it the floor) may lie lower: the threshold
+    drops to the strongest peak found (or to zero if none was) and the
+    cells are tested again, while this spectrum is still at hand.  Only
+    the peaks and their windows are kept, so a packet stack holds a few
+    dozen cells per packet, not a spectrum.  Arguments are
+    :func:`find_peaks_2d`'s.
+    """
+    spec = np.asarray(spectrum, dtype=float)
+    if spec.ndim != 2:
+        raise ConfigurationError(f"spectrum must be 2-D, got shape {spec.shape}")
+    if spec.shape != (len(aoa_grid_deg), len(tof_grid_s)):
+        raise ConfigurationError(
+            f"spectrum shape {spec.shape} does not match grids "
+            f"({len(aoa_grid_deg)}, {len(tof_grid_s)})"
+        )
+    if not np.isfinite(spec).all():
+        raise ConfigurationError("spectrum must be finite")
+    allowed = spec[1:-1, 1:-1] if exclude_border else spec
+    if allowed.size == 0:
+        return PeakCandidates(
+            np.zeros(0, dtype=np.intp), np.zeros((neighborhood**2, 0))
+        )
+    top = allowed.max()
+    scale = 10.0 ** (-min_rel_height_db / 10.0)
+    found = _peaks(spec, top * scale, neighborhood, exclude_border)
+    power = found.window[neighborhood**2 // 2]
+    if not (power == top).any():
+        floor = power.max() * scale if power.size else 0.0
+        found = _peaks(spec, floor, neighborhood, exclude_border)
+    return found
+
+
+def select_peaks(
+    candidates: Sequence[PeakCandidates],
+    aoa_grid_deg: np.ndarray,
+    tof_grid_s: np.ndarray,
+    max_peaks: int = 8,
+    min_rel_height_db: float = 20.0,
+) -> List[List[SpectrumPeak]]:
+    """The stacked half of the search: every packet's peaks in one pass.
+
+    ``candidates`` holds one :class:`PeakCandidates` per packet, each
+    from a spectrum on these grids.  Sorts every peak at once by
+    (packet, power descending, flat index), keeps per packet the peaks
+    within ``min_rel_height_db`` of its strongest, at most ``max_peaks``
+    of them, and refines their positions from the neighbourhood windows.
+    Returns one list per packet, as :func:`find_peaks_2d` would.
+    """
+    n_cols = len(tof_grid_s)
+    if not candidates:
+        return []
+    packet = np.repeat(index_vector(len(candidates)), [len(c.index) for c in candidates])
+    # One concatenation per AP stack: joining the packets is the stacking.
+    index = np.concatenate([c.index for c in candidates])  # repro: noqa REP011
+    window = np.concatenate([c.window for c in candidates], axis=1)  # repro: noqa REP011
+    size = int(round(np.sqrt(window.shape[0])))
+    mid = size * size // 2
+    power = window[mid]
+    order = np.lexsort((index, -power, packet))
+    packet, index, window, power = packet[order], index[order], window[:, order], power[order]
+    # Position of each packet's strongest peak; the sort puts it first.
+    first = np.searchsorted(packet, packet)
+    scale = 10.0 ** (-min_rel_height_db / 10.0)
+    keep = (power >= power[first] * scale) & (
+        index_vector(len(packet)) - first < max_peaks
+    )
+    packet, index, window, power = packet[keep], index[keep], window[:, keep], power[keep]
+    rows, cols = np.divmod(index, n_cols)
+    # Axis neighbours sit one window row (AoA) or one column (ToF) away.
+    aoa_grid = np.asarray(aoa_grid_deg, dtype=float)
+    aoa = _refine(window[mid - size], power, window[mid + size], aoa_grid, rows)
+    tof_grid = np.asarray(tof_grid_s, dtype=float)
+    tof = _refine(window[mid - 1], power, window[mid + 1], tof_grid, cols)
+    peaks = [
+        SpectrumPeak(aoa_deg=a, tof_s=t, power=p)
+        for a, t, p in zip(aoa.tolist(), tof.tolist(), power.tolist())
+    ]
+    bounds = np.cumsum(np.bincount(packet, minlength=len(candidates))).tolist()
+    return [peaks[lo:hi] for lo, hi in zip([0] + bounds[:-1], bounds)]
+
+
 def find_peaks_2d(
     spectrum: np.ndarray,
     aoa_grid_deg: np.ndarray,
@@ -54,7 +170,8 @@ def find_peaks_2d(
     strongest allowed cell is itself a peak.  When it is not, the
     threshold drops to the strongest peak found (or to zero if none was)
     and the same scan runs again, so the result is always the one a
-    full-grid search would give.
+    full-grid search would give.  The one-packet case of
+    :func:`peak_candidates` followed by :func:`select_peaks`.
 
     Parameters
     ----------
@@ -80,44 +197,17 @@ def find_peaks_2d(
     list of :class:`SpectrumPeak`, strongest first; equal powers in
     row-major grid order.  Empty only for a flat spectrum.
     """
-    spec = np.asarray(spectrum, dtype=float)
-    if spec.ndim != 2:
-        raise ConfigurationError(f"spectrum must be 2-D, got shape {spec.shape}")
-    if spec.shape != (len(aoa_grid_deg), len(tof_grid_s)):
-        raise ConfigurationError(
-            f"spectrum shape {spec.shape} does not match grids "
-            f"({len(aoa_grid_deg)}, {len(tof_grid_s)})"
-        )
     if neighborhood % 2 == 0 or neighborhood < 3:
         raise ConfigurationError(f"neighborhood must be odd and >= 3, got {neighborhood}")
     if max_peaks < 1:
         raise ConfigurationError(f"max_peaks must be >= 1, got {max_peaks}")
     if not min_rel_height_db >= 0:
         raise ConfigurationError(f"min_rel_height_db must be >= 0, got {min_rel_height_db}")
-    if not np.isfinite(spec).all():
-        raise ConfigurationError("spectrum must be finite")
-
-    allowed = spec[1:-1, 1:-1] if exclude_border else spec
-    if allowed.size == 0:
-        return []
-    top = allowed.max()
-    scale = 10.0 ** (-min_rel_height_db / 10.0)
-    index, power = _local_maxima(spec, top * scale, neighborhood, exclude_border)
-    if power.size == 0 or power[0] < top:
-        # The top cell is not a peak, so the strongest peak (and with it
-        # the floor) may lie below the first threshold: rescan from there.
-        floor = power[0] * scale if power.size else 0.0
-        index, power = _local_maxima(spec, floor, neighborhood, exclude_border)
-    if power.size == 0:
-        return []
-    kept = (power >= power[0] * scale).nonzero()[0][:max_peaks]
-    rows, cols = np.divmod(index[kept], spec.shape[1])
-    aoa = _refine(spec, np.asarray(aoa_grid_deg, dtype=float), rows, cols)
-    tof = _refine(spec.T, np.asarray(tof_grid_s, dtype=float), cols, rows)
-    return [
-        SpectrumPeak(aoa_deg=float(a), tof_s=float(t), power=float(p))
-        for a, t, p in zip(aoa, tof, power[kept])
-    ]
+    found = peak_candidates(
+        spectrum, aoa_grid_deg, tof_grid_s, min_rel_height_db, neighborhood, exclude_border
+    )
+    peaks = select_peaks([found], aoa_grid_deg, tof_grid_s, max_peaks, min_rel_height_db)
+    return peaks[0]
 
 
 def interior_maxima(spectrum: np.ndarray) -> np.ndarray:
@@ -132,12 +222,13 @@ def interior_maxima(spectrum: np.ndarray) -> np.ndarray:
     return np.nonzero((s[1:-1] >= s[:-2]) & (s[1:-1] >= s[2:]))[0] + 1
 
 
-def _local_maxima(
+def _peaks(
     spec: np.ndarray, threshold: float, neighborhood: int, exclude_border: bool
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Flat indices and powers of the peaks among cells ``>= threshold``.
+) -> PeakCandidates:
+    """The peaks among the allowed cells ``>= threshold``, with windows.
 
-    Sorted by power descending, then flat (row-major) index ascending.
+    A peak is ``>=`` its whole window, ``> 0``, and strictly above the
+    window minimum.
     """
     n_rows, n_cols = spec.shape
     flat = spec.ravel()
@@ -159,28 +250,29 @@ def _local_maxima(
         & (center > 0)
         & (center > window.min(axis=0) * (1.0 + 1e-12))
     )
-    index, power = index[is_peak], center[is_peak]
-    order = np.argsort(-power, kind="stable")
-    return index[order], power[order]
+    return PeakCandidates(index[is_peak], window[:, is_peak])
 
 
-def _refine(spec: np.ndarray, grid: np.ndarray, k: np.ndarray, other: np.ndarray) -> np.ndarray:
-    """Sub-cell positions along axis 0 of peaks at ``spec[k, other]``.
+def _refine(
+    below: np.ndarray, centre: np.ndarray, above: np.ndarray, grid: np.ndarray, k: np.ndarray
+) -> np.ndarray:
+    """Sub-cell positions along one axis of peaks at grid index ``k``.
 
-    Fits a parabola through the log of each peak and its two axis
-    neighbours (MUSIC peaks are sharp, near-Gaussian in log) and moves at
-    most half a cell; a peak on the first or last row, or one that is not
-    strictly concave, stays on its grid point.
+    ``below``/``above`` are each peak's two axis neighbours (the edge
+    cell itself at the border).  Fits a parabola through the log of the
+    three samples (MUSIC peaks are sharp, near-Gaussian in log) and moves
+    at most half a cell; a peak on the first or last grid point, or one
+    that is not strictly concave, stays on its grid point.
     """
-    last = spec.shape[0] - 1
-    below, above = np.maximum(k - 1, 0), np.minimum(k + 1, last)
-    samples = np.stack([spec[below, other], spec[k, other], spec[above, other]])
+    last = len(grid) - 1
+    lower, upper = np.maximum(k - 1, 0), np.minimum(k + 1, last)
+    samples = np.stack([below, centre, above])
     left, center, right = np.log(np.maximum(samples, 1e-300))
     denom = left - 2.0 * center + right
     offset = np.zeros_like(denom)
     np.divide(0.5 * (left - right), denom, out=offset, where=denom < -1e-300)
     offset = np.clip(offset, -0.5, 0.5)
-    step = np.where(offset >= 0, grid[above] - grid[k], grid[k] - grid[below])
+    step = np.where(offset >= 0, grid[upper] - grid[k], grid[k] - grid[lower])
     return np.where((k == 0) | (k == last), grid[k], grid[k] + offset * step)
 
 

@@ -1,8 +1,9 @@
 """SpotFi end-to-end — paper Algorithm 2.
 
 :class:`SpotFi` wires the whole system together: for every AP, sanitize
-(Alg. 1) + smooth (Fig. 4) + MUSIC (lines 5-6) + peaks (line 7) per packet,
-cluster across packets (line 9), select the direct path by Eq. 8 likelihood
+(Alg. 1) + smooth (Fig. 4) + MUSIC (lines 5-6) + peaks (line 7) for each
+packet, run as one stacked kernel over the AP's packets, cluster across
+packets (line 9), select the direct path by Eq. 8 likelihood
 (line 10), then fuse all APs' (AoA, likelihood, RSSI) with the Eq. 9
 solver (line 12).
 """
@@ -19,9 +20,10 @@ from repro.core.direct_path import DirectPathEstimate, select_direct_path
 from repro.core.esprit import EspritEstimator
 from repro.core.estimator import (
     JointEstimator,
+    PacketOutcome,
     PathEstimate,
     SubspaceEstimator,
-    estimate_packet_safe,
+    estimate_ap_packets,
 )
 from repro.core.likelihood import DEFAULT_WEIGHTS, LikelihoodWeights
 from repro.core.localization import ApObservation, LocalizationResult, Localizer
@@ -36,7 +38,7 @@ from repro.errors import (
     ReproError,
 )
 from repro.geom.points import Point, PointLike
-from repro.obs import NOOP_TRACER, Tracer, cluster_summary, downsample_spectrum
+from repro.obs import NOOP_TRACER, Tracer, cluster_summary
 from repro.runtime.executor import Executor, SerialExecutor
 from repro.wifi.arrays import UniformLinearArray
 from repro.wifi.csi import CsiTrace
@@ -188,8 +190,8 @@ class SpotFiFix:
 class SpotFi:
     """The SpotFi server: Algorithm 2 over (AP trace) collections.
 
-    Every fix takes one path: :meth:`process_aps` estimates every packet
-    of every AP in one executor batch and builds each AP's
+    Every fix takes one path: :meth:`process_aps` estimates every AP's
+    packets (one executor task per AP) in one batch and builds each AP's
     :class:`ApReport`, then :meth:`locate_from_reports` (or a registry
     estimator's ``fuse``) solves Eq. 9 over the usable quorum.
 
@@ -206,7 +208,7 @@ class SpotFi:
         Source of randomness for clustering initialization; fixing it makes
         fixes reproducible.
     executor:
-        Runtime executor the per-packet estimation fans out on (see
+        Runtime executor the per-AP estimation fans out on (see
         :mod:`repro.runtime`).  Defaults to a
         :class:`~repro.runtime.executor.SerialExecutor`, which reproduces
         the inline loop exactly.  Estimation is pure and clustering always
@@ -217,9 +219,9 @@ class SpotFi:
         A :class:`repro.obs.Tracer` producing hierarchical spans
         (``locate > ap[k] > sanitize|smooth|music|esprit|cluster > solve``)
         with per-stage timings and attributes; defaults to the zero-cost
-        :data:`~repro.obs.NOOP_TRACER`.  With a real tracer, per-packet
-        estimation runs inline stage by stage (bypassing the executor)
-        so each stage's wall-clock is attributable — tracing is a
+        :data:`~repro.obs.NOOP_TRACER`.  With a real tracer, each AP's
+        stacked kernel runs inline under stage spans (bypassing the
+        executor) so each stage's wall-clock is attributable — tracing is a
         diagnostic mode, not a serving mode.  Under head sampling
         (``ObsConfig(sample_rate=)``) the inline path applies only to
         sampled fixes; sampled-out fixes take the normal executor
@@ -251,7 +253,7 @@ class SpotFi:
     # Per-AP processing (Alg. 2 lines 1-11)
     # ------------------------------------------------------------------
     def estimator_for(self, array: UniformLinearArray) -> SubspaceEstimator:
-        """The per-packet estimator for an AP's array geometry (cached).
+        """The estimator for an AP's array geometry (cached).
 
         A :class:`JointEstimator`, or an ESPRIT one when
         ``config.estimation == "esprit"``.
@@ -282,10 +284,10 @@ class SpotFi:
         """Lines 1-11 for several APs: estimate, cluster, select direct paths.
 
         Each trace is cut to ``config.packets_per_fix`` packets, and every
-        packet of every AP goes to the executor as one batch (see
+        AP goes to the executor as one task of one batch (see
         :meth:`_estimate`).  With a recording tracer each AP instead runs
-        the inline per-stage path (see :meth:`_traced_ap_report`) so the
-        span tree covers every stage.
+        the same kernel inline under stage spans (see
+        :meth:`_traced_ap_report`) so the span tree covers every stage.
 
         Failure isolation: any :class:`~repro.errors.ReproError` an AP's
         estimation raises degrades only that AP — ``direct=None`` with
@@ -321,34 +323,42 @@ class SpotFi:
     def _estimate(
         self, used_pairs: Sequence[Tuple[UniformLinearArray, CsiTrace]]
     ) -> List[Union[List[PathEstimate], EstimationError]]:
-        """Lines 3-8 for every packet of ``used_pairs`` in one executor map.
+        """Lines 3-8 for every AP of ``used_pairs`` in one executor map.
 
-        Returns, per AP, its pooled estimates or the first failed packet's
-        :class:`EstimationError`.  Every failed packet is counted under
-        ``estimate.errors`` and ``estimate.errors.<kind>``.  A
+        One task per AP runs the estimator's stacked kernel over all its
+        packets.  Returns, per AP, its pooled estimates or the first
+        failed packet's :class:`EstimationError` (see :meth:`_pool`).  A
         :class:`~repro.errors.ReproError` the map raises propagates.
         """
-        tasks = []
-        for array, used in used_pairs:
-            estimator = self.estimator_for(array)
-            tasks.extend((estimator, frame.csi, i) for i, frame in enumerate(used))
-        # Per-task CSI pickling: accepted at trace sizes; cost tracked by
-        # BENCH_dist.json.
+        tasks = [
+            (self.estimator_for(array), [frame.csi for frame in used])
+            for array, used in used_pairs
+        ]
+        # Per-AP CSI stack pickling (one task per AP): accepted at trace
+        # sizes; cost tracked by BENCH_dist.json.
         results = self.executor.map_ordered(  # repro: noqa REP013
-            estimate_packet_safe, tasks, stage="estimate"
+            estimate_ap_packets, tasks, stage="estimate"
         )
-        outcomes: List[Union[List[PathEstimate], EstimationError]] = []
-        start = 0
-        for _, used in used_pairs:
-            packets = results[start : start + len(used)]
-            start += len(used)
-            errors = [r for r in packets if isinstance(r, EstimationError)]
-            for exc in errors:
-                self.executor.metrics.record_error("estimate", kind=type(exc).__name__)
-            outcomes.append(
-                errors[0] if errors else [e for packet in packets for e in packet]
-            )
-        return outcomes
+        return [self._pool(packets) for packets in results]
+
+    def _pool(
+        self, packets: Sequence[PacketOutcome]
+    ) -> Union[List[PathEstimate], EstimationError]:
+        """One AP's pooled estimates, or its first failed packet's error.
+
+        Every failed packet is counted under ``estimate.errors`` and
+        ``estimate.errors.<kind>``, traced or not.
+        """
+        estimates: List[PathEstimate] = []
+        first_error: Optional[EstimationError] = None
+        for packet in packets:
+            if isinstance(packet, EstimationError):
+                kind = type(packet).__name__
+                self.executor.metrics.record_error("estimate", kind=kind)
+                first_error = first_error or packet
+            else:
+                estimates.extend(packet)
+        return estimates if first_error is None else first_error
 
     def _ap_report(
         self,
@@ -400,14 +410,13 @@ class SpotFi:
     ) -> ApReport:
         """Lines 2-10 for one AP's ``used`` packets with per-stage spans.
 
-        Runs the estimator stage by stage inline (no executor fan-out) so
-        sanitize/smooth/music each get an attributable wall-clock (ESPRIT
-        has no separable stages and gets one ``esprit`` span); the
-        executor path cannot provide that because workers interleave
-        whole packets.  Numerically identical to the untraced path.
+        Runs the same stacked kernel as the executor path, inline, with
+        this pipeline's tracer: MUSIC opens ``sanitize``, ``smooth`` and
+        ``music`` spans (ESPRIT one ``esprit`` span), then ``cluster``.
+        Numerically identical to the untraced path, and failed packets
+        are counted the same way.
         """
         tracer = self.tracer
-        estimator = self.estimator_for(array)
         with tracer.span(
             f"ap[{index}]",
             packets=len(used),
@@ -415,18 +424,18 @@ class SpotFi:
             rssi_dbm=float(used.median_rssi_dbm()),
         ) as ap_span:
             try:
-                if isinstance(estimator, JointEstimator):
-                    estimates = self._traced_music(estimator, used)
-                else:
-                    with tracer.span("esprit", packets=len(used)) as esprit_span:
-                        estimates = estimator.estimate_trace(used)
-                        esprit_span.set("estimates", len(estimates))
+                estimator = self.estimator_for(array)
+                outcome = self._pool(
+                    estimator.estimate_stack([f.csi for f in used], tracer=tracer)
+                )
             except ReproError as exc:
-                ap_span.set("estimation_error", str(exc))
+                outcome = exc
+            if isinstance(outcome, ReproError):
+                ap_span.set("estimation_error", str(outcome))
                 ap_span.set("usable", False)
-                return self._ap_report(array, used, exc)
-            with tracer.span("cluster", num_estimates=len(estimates)) as cl_span:
-                report = self._ap_report(array, used, estimates)
+                return self._ap_report(array, used, outcome)
+            with tracer.span("cluster", num_estimates=len(outcome)) as cl_span:
+                report = self._ap_report(array, used, outcome)
                 if report.usable:
                     cl_span.set_many(
                         num_clusters=len(report.clusters),
@@ -447,42 +456,6 @@ class SpotFi:
             ap_span.set("usable", report.usable)
         return report
 
-    def _traced_music(
-        self, estimator: JointEstimator, used: CsiTrace
-    ) -> List[PathEstimate]:
-        """Lines 3-8 for one AP under ``sanitize``/``smooth``/``music`` spans."""
-        tracer = self.tracer
-        capture = tracer.config.capture_artifacts
-        with tracer.span("sanitize", packets=len(used)):
-            sanitized = [estimator.stage_sanitize(f.csi) for f in used]
-        with tracer.span("smooth"):
-            smoothed = [estimator.stage_smooth(c) for c in sanitized]
-        with tracer.span("music", packets=len(smoothed)) as music_span:
-            estimates: List[PathEstimate] = []
-            spectrum_sum = None
-            aoa_grid = tof_grid = None
-            for i, x in enumerate(smoothed):
-                spectrum, aoa_grid, tof_grid = estimator.stage_music(x)
-                estimates.extend(
-                    estimator.stage_peaks(spectrum, aoa_grid, tof_grid, packet_index=i)
-                )
-                if capture:
-                    spectrum_sum = (
-                        spectrum if spectrum_sum is None else spectrum_sum + spectrum
-                    )
-            music_span.set("estimates", len(estimates))
-            if capture and spectrum_sum is not None:
-                music_span.set(
-                    "pseudospectrum",
-                    downsample_spectrum(
-                        spectrum_sum / len(smoothed),
-                        aoa_grid,
-                        tof_grid,
-                        tracer.config.artifact_max_bins,
-                    ),
-                )
-        return estimates
-
     # ------------------------------------------------------------------
     # Fusion (Alg. 2 line 12)
     # ------------------------------------------------------------------
@@ -497,8 +470,8 @@ class SpotFi:
     ) -> SpotFiFix:
         """Run the full Algorithm 2 on traces from several APs.
 
-        Per-packet estimation for *all* APs is submitted to the executor
-        as one batch, so a parallel executor overlaps packets across APs;
+        Estimation for *all* APs is submitted to the executor as one
+        batch of per-AP tasks, so a parallel executor overlaps APs;
         clustering and fusion then run here in AP order.  With tracing
         enabled the whole run is wrapped in a ``locate`` span.
 

@@ -24,29 +24,47 @@ from repro.core.indexcache import index_vector
 from repro.wifi.csi import CsiFrame, validate_csi_matrix
 
 
+@contract(psi="(K,M,N)")
+def fit_common_slopes(psi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Algorithm 1 line 1 for each packet of a ``(K, M, N)`` phase stack.
+
+    Solves, per packet, for the single (rho, beta) minimizing
+    ``sum_{m,n} (psi(m,n) + 2 pi f_delta (n-1) rho + beta)^2`` — i.e. an
+    ordinary least-squares line ``psi ~ slope * (n-1) + intercept``
+    pooled over antennas.  Returns ``(slopes, intercepts)``, each of
+    shape (K,), in radians per subcarrier step and radians.  Each
+    packet's reductions run over its own flattened ``M * N`` row, so a
+    packet's fit does not depend on the rest of the stack.
+    """
+    psi = np.asarray(psi, dtype=float)
+    if psi.ndim != 3:
+        raise ValueError(
+            f"phase must be 3-D (packets, antennas, subcarriers), got {psi.shape}"
+        )
+    num_packets, num_antennas, num_subcarriers = psi.shape
+    n = index_vector(num_subcarriers, dtype="float64")
+    # Closed-form OLS pooled over antennas: identical n-design for each row.
+    n_mean = n.mean()
+    rows = psi.reshape(num_packets, num_antennas * num_subcarriers)
+    psi_mean = rows.mean(axis=1)
+    n_var = float(np.sum((n - n_mean) ** 2)) * num_antennas
+    centred = (n - n_mean)[None, None, :] * (psi - psi_mean[:, None, None])
+    cov = centred.reshape(rows.shape).sum(axis=1)
+    slopes = cov / n_var
+    return slopes, psi_mean - slopes * n_mean
+
+
 @contract(psi="(M,N)")
 def fit_common_slope(psi: np.ndarray) -> Tuple[float, float]:
-    """Least-squares common (slope, intercept) of phase vs subcarrier index.
+    """Least-squares common (slope, intercept) of one packet's phase.
 
-    Solves Algorithm 1 line 1: the single (rho, beta) minimizing
-    ``sum_{m,n} (psi(m,n) + 2 pi f_delta (n-1) rho + beta)^2`` — i.e. an
-    ordinary least-squares line ``psi ~ slope * (n-1) + intercept`` pooled
-    over antennas.  Returns the slope in radians per subcarrier step and
-    the intercept in radians.
+    The one-packet case of :func:`fit_common_slopes`.
     """
     psi = np.asarray(psi, dtype=float)
     if psi.ndim != 2:
         raise ValueError(f"phase must be 2-D (antennas, subcarriers), got {psi.shape}")
-    num_antennas, num_subcarriers = psi.shape
-    n = index_vector(num_subcarriers, dtype="float64")
-    # Closed-form OLS pooled over antennas: identical n-design for each row.
-    n_mean = n.mean()
-    psi_mean = psi.mean()
-    n_var = float(np.sum((n - n_mean) ** 2)) * num_antennas
-    cov = float(np.sum((n - n_mean)[None, :] * (psi - psi_mean)))
-    slope = cov / n_var
-    intercept = psi_mean - slope * n_mean
-    return float(slope), float(intercept)
+    slopes, intercepts = fit_common_slopes(psi[None])
+    return float(slopes[0]), float(intercepts[0])
 
 
 @contract(csi="(M,N)", subcarrier_spacing_hz="float", returns="float")
@@ -63,18 +81,40 @@ def estimate_sto(csi: np.ndarray, subcarrier_spacing_hz: float) -> float:
     return -slope / (2.0 * np.pi * subcarrier_spacing_hz)
 
 
-@contract(psi="(M,N)", returns="(M,N) float64")
-def sanitize_phase(psi: np.ndarray) -> np.ndarray:
-    """Algorithm 1 on an unwrapped phase matrix: remove the common slope.
+@contract(psi="(K,M,N)", returns="(K,M,N) float64")
+def sanitize_phase_stack(psi: np.ndarray) -> np.ndarray:
+    """Algorithm 1 on a ``(K, M, N)`` unwrapped phase stack, per packet.
 
     Only the slope term is subtracted (the paper's line 2 subtracts the
     STO-induced phase, not the intercept), so per-antenna phase offsets —
     which carry the AoA information — are preserved.
     """
     psi = np.asarray(psi, dtype=float)
-    slope, _ = fit_common_slope(psi)
-    n = index_vector(psi.shape[1], dtype="float64")
-    return psi - slope * n[None, :]
+    slopes, _ = fit_common_slopes(psi)
+    n = index_vector(psi.shape[2], dtype="float64")
+    return psi - slopes[:, None, None] * n[None, None, :]
+
+
+@contract(psi="(M,N)", returns="(M,N) float64")
+def sanitize_phase(psi: np.ndarray) -> np.ndarray:
+    """Algorithm 1 on one unwrapped phase matrix: remove the common slope.
+
+    The one-packet case of :func:`sanitize_phase_stack`.
+    """
+    return sanitize_phase_stack(np.asarray(psi, dtype=float)[None])[0]
+
+
+@contract(csi="(K,M,N)", returns="(K,M,N) complex128")
+def sanitize_csi_stack(csi: np.ndarray) -> np.ndarray:
+    """Apply Algorithm 1 to each packet of a validated ``(K, M, N)`` stack.
+
+    One unwrap over the last axis and one slope fit per packet
+    (:func:`fit_common_slopes`); packet ``k`` of the result is
+    :func:`sanitize_csi` of ``csi[k]``, element for element.
+    """
+    csi = np.asarray(csi, dtype=np.complex128)
+    psi = np.unwrap(np.angle(csi), axis=-1)
+    return np.abs(csi) * np.exp(1j * sanitize_phase_stack(psi))
 
 
 @contract(csi="(M,N)", returns="(M,N) complex128")
@@ -84,12 +124,9 @@ def sanitize_csi(csi: np.ndarray) -> np.ndarray:
     Magnitudes are preserved; the phase is replaced by the sanitized
     (common-slope-removed) unwrapped phase.  The returned CSI is what
     SpotFi's super-resolution step consumes (Alg. 2 line 3 precedes
-    line 4).
+    line 4).  The one-packet case of :func:`sanitize_csi_stack`.
     """
-    csi = validate_csi_matrix(csi)
-    psi = np.unwrap(np.angle(csi), axis=1)
-    psi_hat = sanitize_phase(psi)
-    return np.abs(csi) * np.exp(1j * psi_hat)
+    return sanitize_csi_stack(validate_csi_matrix(csi)[None])[0]
 
 
 def sanitize_frame(frame: CsiFrame) -> CsiFrame:

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.analysis.contracts import contract
+from repro.core.indexcache import smoothing_index
 from repro.errors import ConfigurationError, CsiShapeError
 from repro.wifi.csi import validate_csi_matrix
 
@@ -85,6 +86,32 @@ class SmoothingConfig:
 PAPER_CONFIG = SmoothingConfig(sub_antennas=2, sub_subcarriers=15, max_subcarrier_shifts=15)
 
 
+@contract(csi="(K,M,N)", returns="(K,S,C) complex128")
+def smooth_csi_stack(
+    csi: np.ndarray, config: SmoothingConfig = PAPER_CONFIG
+) -> np.ndarray:
+    """Fig. 4 smoothed matrices of a ``(K, M, N)`` packet stack at once.
+
+    One gather through the cached placement index
+    (:func:`repro.core.indexcache.smoothing_index`); packet ``k`` of the
+    result is :func:`smooth_csi` of ``csi[k]``, element for element.
+    The stack is assumed validated (complex128, finite).
+    """
+    stack = np.asarray(csi, dtype=np.complex128)
+    if stack.ndim != 3:
+        raise CsiShapeError(
+            f"expected (packets, antennas, subcarriers), got shape {stack.shape}"
+        )
+    num_packets, num_antennas, num_subcarriers = stack.shape
+    index = smoothing_index(
+        num_subcarriers,
+        config.sub_antennas,
+        config.sub_subcarriers,
+        *config.num_shifts(num_antennas, num_subcarriers),
+    )
+    return stack.reshape(num_packets, num_antennas * num_subcarriers)[:, index]
+
+
 @contract(csi="(M,N)", returns="(S,C) complex128")
 def smooth_csi(csi: np.ndarray, config: SmoothingConfig = PAPER_CONFIG) -> np.ndarray:
     """Build the smoothed CSI matrix of paper Fig. 4.
@@ -106,20 +133,10 @@ def smooth_csi(csi: np.ndarray, config: SmoothingConfig = PAPER_CONFIG) -> np.nd
         ``csi[i : i + sub_antennas, j : j + sub_subcarriers]`` flattened
         antenna-major, matching the steering-vector index order of Eq. 7.
         Placements iterate antenna-shift-major (all subcarrier shifts of
-        antenna shift 0 first), matching Fig. 4's column order.
+        antenna shift 0 first), matching Fig. 4's column order.  The
+        one-packet case of :func:`smooth_csi_stack`.
     """
-    csi = validate_csi_matrix(csi)
-    num_antennas, num_subcarriers = csi.shape
-    ant_shifts, sub_shifts = config.num_shifts(num_antennas, num_subcarriers)
-    rows = config.sensors_per_subarray
-    out = np.empty((rows, ant_shifts * sub_shifts), dtype=np.complex128)
-    col = 0
-    for i in range(ant_shifts):
-        for j in range(sub_shifts):
-            block = csi[i : i + config.sub_antennas, j : j + config.sub_subcarriers]
-            out[:, col] = block.reshape(-1)
-            col += 1
-    return out
+    return smooth_csi_stack(validate_csi_matrix(csi)[None], config)[0]
 
 
 @contract(csi="(M,N)", returns="(S,S) complex128")
@@ -139,11 +156,14 @@ def smooth_csi_batch(
 
     Pooling placements across packets multiplies the number of independent
     measurement columns, which sharpens the covariance estimate; used by
-    the multi-packet variant of the estimator.
+    the multi-packet variant of the estimator.  A reshape of
+    :func:`smooth_csi_stack`: packet ``k``'s placements are columns
+    ``k * C`` to ``(k + 1) * C - 1``.
     """
     frames = np.asarray(csi_frames)
     if frames.ndim != 3:
         raise CsiShapeError(
             f"expected (packets, antennas, subcarriers), got shape {frames.shape}"
         )
-    return np.concatenate([smooth_csi(f, config) for f in frames], axis=1)
+    x = smooth_csi_stack(np.stack([validate_csi_matrix(f) for f in frames]), config)
+    return x.transpose(1, 0, 2).reshape(x.shape[1], -1)

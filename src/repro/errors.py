@@ -100,9 +100,9 @@ class ShardUnavailableError(ReproError):
 
 
 class DeadlineExceededError(ReproError):
-    """A work item missed its per-packet deadline on the executor.
+    """A work item missed its deadline on the executor.
 
     Raised by :class:`~repro.runtime.executor.ParallelExecutor` when a
-    chunk of per-packet estimation does not complete within the
+    chunk of estimation tasks (one per AP) does not complete within the
     :class:`~repro.faults.RetryPolicy` timeout after exhausting retries.
     """

@@ -55,11 +55,9 @@ class MusicAoaAdapter(Estimator):
         estimator = self._estimator_for(array)
         aoas = []
         failure: Optional[EstimationError] = None
-        for frame in used:
-            try:
-                peaks = estimator.estimate_packet(frame.csi)
-            except EstimationError as exc:
-                failure = failure or exc
+        for peaks in estimator.estimate_stack([frame.csi for frame in used]):
+            if isinstance(peaks, EstimationError):
+                failure = failure or peaks
                 continue
             if peaks:
                 aoas.append(peaks[0].aoa_deg)

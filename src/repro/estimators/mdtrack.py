@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.core.clustering import cluster_estimates
 from repro.core.direct_path import select_direct_path
-from repro.core.estimator import PathEstimate, prepare_csi
+from repro.core.estimator import PathEstimate, prepare_csi_all
 from repro.core.pipeline import ApReport
 from repro.core.steering import SteeringModel
 from repro.errors import EstimationError
@@ -131,9 +131,11 @@ class MdTrackEstimator(Estimator):
         used = trace[: config.packets_per_fix]
         rssi = used.median_rssi_dbm()
         model = self._model_for(array)
+        stack = prepare_csi_all(
+            [frame.csi for frame in used], model.model, config.sanitize
+        )
         estimates: List[PathEstimate] = []
-        for index, frame in enumerate(used):
-            csi = prepare_csi(frame.csi, model.model, config.sanitize)
+        for index, csi in enumerate(stack):
             estimates.extend(self._packet_paths(model, csi, index))
         min_size = max(
             config.min_cluster_size,

@@ -19,7 +19,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.estimator import prepare_csi
+from repro.core.estimator import prepare_csi_all
 from repro.core.localization import ApObservation, LocalizationResult, Localizer
 from repro.core.peaks import interior_maxima
 from repro.core.steering import SteeringModel
@@ -71,9 +71,9 @@ class TofEstimator(Estimator):
         used = trace[: config.packets_per_fix]
         rssi = used.median_rssi_dbm()
         model, tof_grid, conj_o = self._model_for(array)
+        stack = prepare_csi_all([frame.csi for frame in used], model, config.sanitize)
         spectrum: Optional[np.ndarray] = None
-        for frame in used:
-            csi = prepare_csi(frame.csi, model, config.sanitize)
+        for csi in stack:
             # (M, N) @ (N, Gt) -> per-antenna delay responses, power-summed.
             responses = csi @ conj_o.T
             packet_spectrum = np.sum(np.abs(responses) ** 2, axis=0)

@@ -107,7 +107,7 @@ COUNTER_PATTERNS: Tuple["re.Pattern[str]", ...] = (
 #: ``.timeouts`` counters, so the *stage* is the registered identity.
 CANONICAL_STAGE_COUNTERS: FrozenSet[str] = frozenset(
     {
-        "estimate",  # per-packet estimation fan-out (executors)
+        "estimate",  # per-AP estimation fan-out, one task per AP (executors)
         "fix",  # one flush-triggered fix (repro.server)
         "map",  # Executor.map_ordered default stage
         "dist.request",  # one router->shard request (repro.dist.router)

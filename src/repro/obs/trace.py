@@ -271,6 +271,15 @@ class _ActiveSpan:
         """Attach several attributes to the underlying span."""
         self.span.set_many(**attributes)
 
+    def fail(self, error: str) -> None:
+        """Mark the span failed without raising (e.g. a failed packet).
+
+        Sets status ``"error"`` and, unless already set, the ``error``
+        attribute to ``error`` (an exception type name).
+        """
+        self.span.status = "error"
+        self.span.attributes.setdefault("error", error)
+
     def __enter__(self) -> "_ActiveSpan":
         return self
 
@@ -281,8 +290,7 @@ class _ActiveSpan:
         tb: Optional[TracebackType],
     ) -> None:
         if exc_type is not None:
-            self.span.status = "error"
-            self.span.attributes.setdefault("error", exc_type.__name__)
+            self.fail(exc_type.__name__)
         self._tracer._finish(self.span)
 
 
@@ -299,6 +307,9 @@ class _NoopSpan:
 
     def set_many(self, **attributes: Any) -> None:
         """Discard the attributes (tracing is off)."""
+
+    def fail(self, error: str) -> None:
+        """Discard the failure mark (tracing is off)."""
 
     def __enter__(self) -> "_NoopSpan":
         return self
@@ -336,6 +347,9 @@ class _UnsampledSpan:
 
     def set_many(self, **attributes: Any) -> None:
         """Discard the attributes (this trace was sampled out)."""
+
+    def fail(self, error: str) -> None:
+        """Discard the failure mark (this trace was sampled out)."""
 
     def __enter__(self) -> "_UnsampledSpan":
         return self

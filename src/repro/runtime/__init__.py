@@ -4,7 +4,7 @@ Per-packet smoothed-CSI MUSIC dominates SpotFi's cost (Alg. 2 lines 4-7);
 this package supplies the engineering layer that makes it scale:
 
 * :mod:`repro.runtime.executor` — :class:`Executor` implementations that
-  fan per-packet estimation across workers with deterministic ordering
+  fan estimation (one task per AP) across workers with deterministic ordering
   (``SerialExecutor`` reproduces the inline loop bit-for-bit,
   ``ParallelExecutor`` uses a process pool).
 * :mod:`repro.runtime.cache` — :class:`SteeringCache`, process-local

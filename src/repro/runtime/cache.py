@@ -1,9 +1,10 @@
 """Memoized steering grids for the MUSIC spectrum evaluation.
 
-Every per-packet spectrum needs the same three grid matrices — the AoA
-grid, the ToF grid, and the per-grid-point antenna/subcarrier phase
-vectors Phi(theta) and Omega(tau) of Eqs. 1/6 — yet the estimator used
-to rebuild them for each packet.  They depend only on (array geometry,
+Every per-packet spectrum needs the same grid matrices — the AoA grid,
+the ToF grid, the per-grid-point antenna/subcarrier phase vectors
+Phi(theta) and Omega(tau) of Eqs. 1/6, and the projector-form
+spectrum's two grid factors conj(Omega) and W (built from Phi) — yet
+the estimator used to rebuild them for each packet.  They depend only on (array geometry,
 OFDM grid, MUSIC grid configuration), so across a 40-packet burst (or a
 million-user deployment with a handful of AP hardware models) the same
 few matrices recur endlessly.
@@ -25,7 +26,7 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from repro.core.music import MusicConfig
+from repro.core.music import MusicConfig, steering_weights
 from repro.core.steering import SteeringModel
 from repro.errors import ConfigurationError
 
@@ -44,12 +45,19 @@ class SteeringGrids:
         Antenna steering vectors over the AoA grid, shape (A, M).
     omega:
         Subcarrier steering vectors over the ToF grid, shape (T, N).
+    omega_conj:
+        ``conj(omega)``, the left factor of the projector-form spectrum.
+    weights:
+        :func:`~repro.core.music.steering_weights` of ``phi``, shape
+        (A, 2 M^2): the spectrum's real grid factor.
     """
 
     aoa_grid_deg: np.ndarray
     tof_grid_s: np.ndarray
     phi: np.ndarray
     omega: np.ndarray
+    omega_conj: np.ndarray
+    weights: np.ndarray
 
 
 def _build_grids(model: SteeringModel, music: MusicConfig) -> SteeringGrids:
@@ -57,12 +65,19 @@ def _build_grids(model: SteeringModel, music: MusicConfig) -> SteeringGrids:
     tof_grid = music.tof_grid()
     phi = model.antenna_vector(aoa_grid)
     omega = model.subcarrier_vector(tof_grid)
+    omega_conj = omega.conj()
+    weights = steering_weights(phi)
     # Entries are shared across packets and workers' closures; freeze them
     # so an accidental in-place edit cannot corrupt later spectra.
-    for arr in (aoa_grid, tof_grid, phi, omega):
+    for arr in (aoa_grid, tof_grid, phi, omega, omega_conj, weights):
         arr.setflags(write=False)
     return SteeringGrids(
-        aoa_grid_deg=aoa_grid, tof_grid_s=tof_grid, phi=phi, omega=omega
+        aoa_grid_deg=aoa_grid,
+        tof_grid_s=tof_grid,
+        phi=phi,
+        omega=omega,
+        omega_conj=omega_conj,
+        weights=weights,
     )
 
 

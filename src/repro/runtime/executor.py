@@ -1,4 +1,4 @@
-"""Executors: deterministic fan-out of per-packet estimation.
+"""Executors: deterministic fan-out of per-AP estimation.
 
 The pipeline expresses its hot loop as ``executor.map_ordered(fn, items)``
 and lets the executor decide *where* the work runs:
@@ -9,7 +9,7 @@ and lets the executor decide *where* the work runs:
 * :class:`ParallelExecutor` fans items across a
   :class:`concurrent.futures.ProcessPoolExecutor`.  ``map`` preserves
   submission order, so results come back deterministically regardless of
-  which worker finished first; per-packet MUSIC is pure (no RNG), so the
+  which worker finished first; estimation is pure (no RNG), so the
   values themselves match the serial path within floating-point identity.
 
 Both record submit/complete/error events on a

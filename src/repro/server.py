@@ -95,7 +95,7 @@ class SpotFiServer:
     ----------
     spotfi:
         Configured pipeline (owns grid/bounds/config and the runtime
-        executor the per-packet estimation fans out on).
+        executor the per-AP estimation fans out on).
     aps:
         AP id -> array geometry for every AP that ships CSI.
     packets_per_fix:

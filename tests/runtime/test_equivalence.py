@@ -12,6 +12,7 @@ import pytest
 from repro.core.pipeline import SpotFi, SpotFiConfig
 from repro.runtime import ParallelExecutor, SerialExecutor
 from repro.testbed.layout import small_testbed
+from repro.wifi.csi import CsiFrame, CsiTrace
 
 PACKETS = 4
 
@@ -75,8 +76,16 @@ class TestEquivalence:
         assert default_fix.position.y == explicit_fix.position.y
 
     def test_executor_metrics_count_packets(self, workload):
+        """One executor task per AP; ``estimate.errors`` still counts packets."""
         tb, sim, pairs = workload
+        array, trace = pairs[0]
+        frames = list(trace)
+        for i in (1, 2):
+            frames[i] = CsiFrame(csi=np.zeros_like(frames[i].csi), rssi_dbm=-60.0)
+        failing = [(array, CsiTrace(frames))] + pairs[1:]
         executor = SerialExecutor()
-        make_spotfi(tb, sim, executor).locate(pairs)
-        assert executor.metrics.counter("estimate.submitted") == 3 * PACKETS
-        assert executor.metrics.counter("estimate.completed") == 3 * PACKETS
+        make_spotfi(tb, sim, executor).locate(failing)
+        assert executor.metrics.counter("estimate.submitted") == 3
+        assert executor.metrics.counter("estimate.completed") == 3
+        assert executor.metrics.counter("estimate.errors") == 2
+        assert executor.metrics.counter("estimate.errors.EstimationError") == 2

@@ -258,13 +258,14 @@ class TestMetricsCommand:
         assert rc == 0
         text = capsys.readouterr().out
         # Worker histograms merged back: the per-item count covers every
-        # packet even though the parent recorded a single batch.
+        # AP task (one per AP of the small testbed) even though the parent
+        # recorded a single batch.
         count_line = next(
             l
             for l in text.splitlines()
             if l.startswith('repro_stage_duration_seconds_count{stage="estimate"}')
         )
-        assert int(float(count_line.rsplit(" ", 1)[1])) == 24
+        assert int(float(count_line.rsplit(" ", 1)[1])) == 4
 
 
 class TestFloorplan:

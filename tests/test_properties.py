@@ -6,6 +6,7 @@ inputs rather than hand-picked examples:
 * Eq. 7 factorization: a(theta, tau) = phi (x) omega.
 * Fig. 4 smoothing: rank of the smoothed matrix == number of paths.
 * Algorithm 1: sanitized CSI is invariant to the packet's STO.
+* Packet stacks: a packet's estimates do not depend on its stack.
 * MUSIC: noise subspace orthogonal to true steering vectors; the
   signal/noise complement identity.
 * Quantization: bounded error, scale invariance.
@@ -18,10 +19,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.core.esprit import EspritEstimator
+from repro.core.estimator import JointEstimator
 from repro.core.music import covariance, noise_subspace, subspaces
 from repro.core.sanitize import sanitize_csi
 from repro.core.smoothing import PAPER_CONFIG, smooth_csi
 from repro.core.steering import SteeringModel
+from repro.errors import EstimationError
 from repro.eval.metrics import Cdf
 from repro.geom.points import Point, wrap_deg
 from repro.geom.segments import Segment
@@ -183,6 +187,45 @@ class TestSanitizeProperties:
         n = np.arange(30)
         shifted = csi * np.exp(-2j * np.pi * 1.25e6 * n * sto)[None, :]
         assert np.allclose(np.abs(sanitize_csi(shifted)), np.abs(csi))
+
+
+class TestPacketStackProperties:
+    """The per-AP stack kernel is exact: a packet's estimates do not
+    depend on which other packets share its stack."""
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        num_packets=st.integers(min_value=1, max_value=6),
+        estimator_class=st.sampled_from([JointEstimator, EspritEstimator]),
+        zero_packet=st.integers(min_value=-1, max_value=5),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_stacked_equals_per_packet(
+        self, seed, num_packets, estimator_class, zero_packet
+    ):
+        rng = np.random.default_rng(seed)
+        paths = rng.integers(1, 4)
+        csi = [
+            ideal_csi(
+                rng.uniform(-80.0, 80.0, paths),
+                rng.uniform(0.0, 300e-9, paths),
+                rng.normal(size=paths) + 1j * rng.normal(size=paths),
+            )
+            + 0.05 * (rng.normal(size=(3, 30)) + 1j * rng.normal(size=(3, 30)))
+            for _ in range(num_packets)
+        ]
+        if zero_packet < num_packets:
+            csi[zero_packet] = np.zeros((3, 30), complex)
+        estimator = estimator_class(model=MODEL)
+        stacked = estimator.estimate_stack(csi, first_index=3)
+        for k, matrix in enumerate(csi):
+            try:
+                expected = estimator.estimate_packet(matrix, packet_index=3 + k)
+            except EstimationError as exc:
+                assert isinstance(stacked[k], EstimationError)
+                assert str(stacked[k]) == str(exc)
+            else:
+                assert stacked[k] == expected
 
 
 class TestQuantizationProperties:

@@ -34,21 +34,31 @@ class TestRunnerConfigs:
         assert np.isfinite(out[0].spotfi_error_m)
 
     def test_esprit_not_slower_than_music(self):
+        """Best-of-3 warm timings, so the order tests run in cannot matter.
+
+        Each estimator gets one untimed run first: the first fix in a
+        fresh process pays one-off costs (steering grids, imports, BLAS
+        start-up) that say nothing about either estimator.
+        """
         import time
 
         tb = small_testbed()
 
-        def timed(estimation):
+        def best_time(estimation, repeats=3):
             runner = ExperimentRunner(
                 tb,
                 config=SpotFiConfig(packets_per_fix=8, estimation=estimation),
                 num_packets=8,
                 seed=5,
             )
-            start = time.perf_counter()
-            runner.run(tb.targets[:1], run_arraytrack=False)
-            return time.perf_counter() - start
+            runner.run(tb.targets[:1], run_arraytrack=False)  # warm-up
+            times = []
+            for _ in range(repeats):
+                start = time.perf_counter()
+                runner.run(tb.targets[:1], run_arraytrack=False)
+                times.append(time.perf_counter() - start)
+            return min(times)
 
-        t_esprit = timed("esprit")
-        t_music = timed("music")
+        t_esprit = best_time("esprit")
+        t_music = best_time("music")
         assert t_esprit < t_music
