@@ -20,140 +20,67 @@ Quick start::
     print(fix.position, fix.error_to(target))
 """
 
-from repro.channel import (
-    ChannelSimulator,
-    ImpairmentModel,
-    LogDistancePathLoss,
-    MultipathProfile,
-    PropagationPath,
-    synthesize_csi,
-)
-from repro.core import (
-    ApObservation,
-    DirectPathEstimate,
-    JointEstimator,
-    LocalizationResult,
-    Localizer,
-    MusicConfig,
-    PathEstimate,
-    SmoothingConfig,
-    SpotFi,
-    SpotFiConfig,
-    SteeringModel,
-    cluster_estimates,
-    sanitize_csi,
-    select_direct_path,
-    smooth_csi,
-)
-from repro.core.esprit import EspritEstimator
-from repro.dist import ShardConfig, ShardRouter
-from repro.errors import (
-    CircuitOpenError,
-    DeadlineExceededError,
-    ReproError,
-    ShardUnavailableError,
-    ValidationError,
-)
-from repro.faults import (
-    CircuitBreaker,
-    FaultInjector,
-    FaultSpec,
-    FrameValidator,
-    RetryPolicy,
-    ValidationPolicy,
-)
-from repro.geom import Floorplan, Point, RayTracer, Segment
-from repro.obs import (
-    Histogram,
-    JsonlSpanExporter,
-    ObsConfig,
-    Span,
-    Tracer,
-    render_prometheus,
-)
-from repro.runtime import (
-    ParallelExecutor,
-    RuntimeMetrics,
-    SerialExecutor,
-    SteeringCache,
-    create_executor,
-)
-from repro.server import FixEvent, SpotFiServer
-from repro.tracking import KalmanTrack2D
-from repro.wifi import CsiFrame, CsiTrace, Intel5300, OfdmGrid, UniformLinearArray
+from repro import _exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ApObservation",
-    "ChannelSimulator",
-    "CircuitBreaker",
-    "CircuitOpenError",
-    "CsiFrame",
-    "CsiTrace",
-    "DeadlineExceededError",
-    "DirectPathEstimate",
-    "EspritEstimator",
-    "FaultInjector",
-    "FaultSpec",
-    "FixEvent",
-    "Floorplan",
-    "FrameValidator",
-    "Histogram",
-    "KalmanTrack2D",
-    "ImpairmentModel",
-    "Intel5300",
-    "JointEstimator",
-    "JsonlSpanExporter",
-    "LocalizationResult",
-    "Localizer",
-    "LogDistancePathLoss",
-    "MultipathProfile",
-    "MusicConfig",
-    "ObsConfig",
-    "OfdmGrid",
-    "ParallelExecutor",
-    "PathEstimate",
-    "Point",
-    "PropagationPath",
-    "RayTracer",
-    "ReproError",
-    "RetryPolicy",
-    "RuntimeMetrics",
-    "Segment",
-    "SerialExecutor",
-    "ShardConfig",
-    "ShardRouter",
-    "ShardUnavailableError",
-    "SmoothingConfig",
-    "Span",
-    "SpotFi",
-    "SpotFiConfig",
-    "SpotFiServer",
-    "SteeringCache",
-    "SteeringModel",
-    "Tracer",
-    "UniformLinearArray",
-    "ValidationError",
-    "ValidationPolicy",
-    "cluster_estimates",
-    "create_executor",
-    "office_testbed",
-    "render_prometheus",
-    "sanitize_csi",
-    "select_direct_path",
-    "smooth_csi",
-    "synthesize_csi",
-    "__version__",
-]
-
-
-def office_testbed():
-    """Convenience re-export of :func:`repro.testbed.layout.office_testbed`.
-
-    Imported lazily so the core library stays importable while the testbed
-    subpackage is optional for library-only users.
-    """
-    from repro.testbed.layout import office_testbed as _office_testbed
-
-    return _office_testbed()
+__all__ = _exports.install(
+    globals(),
+    {
+        "channel": (
+            "ChannelSimulator",
+            "ImpairmentModel",
+            "LogDistancePathLoss",
+            "MultipathProfile",
+            "PropagationPath",
+            "synthesize_csi",
+        ),
+        "core": (
+            "ApObservation",
+            "DirectPathEstimate",
+            "JointEstimator",
+            "LocalizationResult",
+            "Localizer",
+            "MusicConfig",
+            "PathEstimate",
+            "SmoothingConfig",
+            "SpotFi",
+            "SpotFiConfig",
+            "SteeringModel",
+            "cluster_estimates",
+            "sanitize_csi",
+            "select_direct_path",
+            "smooth_csi",
+        ),
+        "core.esprit": ("EspritEstimator",),
+        "dist": ("ShardConfig", "ShardRouter"),
+        "errors": (
+            "CircuitOpenError",
+            "DeadlineExceededError",
+            "ReproError",
+            "ShardUnavailableError",
+            "ValidationError",
+        ),
+        "faults.breaker": ("CircuitBreaker",),
+        "faults.injector": ("FaultInjector",),
+        "faults.retry": ("RetryPolicy",),
+        "faults.spec": ("FaultSpec",),
+        "faults.validator": ("FrameValidator", "ValidationPolicy"),
+        "geom": ("Floorplan", "Point", "RayTracer", "Segment"),
+        "obs.config": ("ObsConfig",),
+        "obs.histogram": ("Histogram",),
+        "obs.prometheus": ("render_prometheus",),
+        "obs.trace": ("JsonlSpanExporter", "Span", "Tracer"),
+        "runtime": (
+            "ParallelExecutor",
+            "RuntimeMetrics",
+            "SerialExecutor",
+            "SteeringCache",
+            "create_executor",
+        ),
+        "server": ("FixEvent", "SpotFiServer"),
+        "testbed.layout": ("office_testbed",),
+        "tracking": ("KalmanTrack2D",),
+        "wifi": ("CsiFrame", "CsiTrace", "Intel5300", "OfdmGrid", "UniformLinearArray"),
+    },
+) + ["__version__"]

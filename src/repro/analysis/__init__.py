@@ -19,34 +19,4 @@ machine-checked:
 Run everything with ``python -m repro.analysis --strict src/repro``.
 """
 
-from repro.analysis.contracts import (
-    apply_contract,
-    contract,
-    contracts_enabled,
-    parse_spec,
-)
-from repro.analysis.contracts_static import check_contracts
-from repro.analysis.findings import Finding, render_json, render_text
-from repro.analysis.rules import DEFAULT_RULES, Linter, Rule, SourceFile
-from repro.analysis.runner import AnalysisReport, run_analysis
-from repro.analysis.typegate import STRICT_PACKAGES, collect_typing_findings, gate
-
-__all__ = [
-    "AnalysisReport",
-    "DEFAULT_RULES",
-    "Finding",
-    "Linter",
-    "Rule",
-    "SourceFile",
-    "STRICT_PACKAGES",
-    "apply_contract",
-    "check_contracts",
-    "collect_typing_findings",
-    "contract",
-    "contracts_enabled",
-    "gate",
-    "parse_spec",
-    "render_json",
-    "render_text",
-    "run_analysis",
-]
+__all__: list[str] = []

@@ -25,6 +25,13 @@ from repro.analysis.findings import Finding
 from repro.analysis.flow.engine_types import FlowContext, FlowRule
 from repro.analysis.flow.graph import ModuleInfo
 from repro.analysis.rules import _dotted_name
+from repro.obs.counters import (
+    CANONICAL_STAGE_COUNTERS,
+    STAGE_COUNTER_PATTERNS,
+    is_canonical_counter,
+    is_canonical_counter_prefix,
+    is_canonical_stage_counter,
+)
 
 _RECORD_STAGE_METHODS = {
     "record_submit",
@@ -245,19 +252,6 @@ class CounterDriftRule(FlowRule):
     hint = "use a name from repro.obs.counters.CANONICAL_COUNTERS or register the new counter there"
 
     def check(self, ctx: FlowContext) -> Iterator[Finding]:
-        # Local import mirrors REP010: analysis stays importable without
-        # the obs package at module-import time.
-        from repro.obs.counters import (
-            CANONICAL_COUNTERS,
-            COUNTER_PATTERNS,
-            is_canonical_counter,
-            is_canonical_counter_prefix,
-            is_canonical_stage_counter,
-        )
-        from repro.obs.counters import CANONICAL_STAGE_COUNTERS, STAGE_COUNTER_PATTERNS
-
-        del CANONICAL_COUNTERS, COUNTER_PATTERNS  # prefix helper covers them
-
         for name, info in sorted(ctx.graph.modules.items()):
             for node in ast.walk(info.source.tree):
                 if not isinstance(node, ast.Call):

@@ -19,6 +19,7 @@ from pathlib import Path
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.findings import Finding
+from repro.obs.stages import is_canonical_stage
 
 _NOQA_RE = re.compile(r"#\s*repro:\s*noqa(?:\s+(?P<ids>[A-Z]{3}\d{3}(?:\s*,\s*[A-Z]{3}\d{3})*))?")
 
@@ -452,10 +453,6 @@ class NonCanonicalStageRule(Rule):
     hint = "use a name from repro.obs.stages.CANONICAL_STAGES or register the new stage there"
 
     def check(self, module: SourceFile) -> Iterator[Finding]:
-        # Local import: keeps repro.analysis importable without pulling
-        # the obs package in at module-import time for non-lint users.
-        from repro.obs.stages import is_canonical_stage
-
         for node in ast.walk(module.tree):
             if not isinstance(node, ast.Call):
                 continue

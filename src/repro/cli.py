@@ -69,16 +69,11 @@ from repro.dist.router import ShardRouter
 from repro.dist.shard import ShardConfig, run_shard, start_shards
 from repro.errors import ConfigurationError, ReproError
 from repro.io.traces import LocationDataset, load_dataset, save_dataset
-from repro.obs import (
-    JsonlSpanExporter,
-    ObsConfig,
-    SloTracker,
-    Tracer,
-    collect_trace_dir,
-    format_merged_traces,
-    format_span_tree,
-    render_prometheus,
-)
+from repro.obs.collector import collect_trace_dir, format_merged_traces
+from repro.obs.config import ObsConfig
+from repro.obs.prometheus import render_prometheus
+from repro.obs.slo import SloTracker
+from repro.obs.trace import JsonlSpanExporter, Tracer, format_span_tree
 from repro.runtime import (
     OVERFLOW_POLICIES,
     RuntimeMetrics,

@@ -38,7 +38,8 @@ from repro.errors import (
     ReproError,
 )
 from repro.geom.points import Point, PointLike
-from repro.obs import NOOP_TRACER, Tracer, cluster_summary
+from repro.obs.artifacts import cluster_summary
+from repro.obs.trace import NOOP_TRACER, Tracer
 from repro.runtime.executor import Executor, SerialExecutor
 from repro.wifi.arrays import UniformLinearArray
 from repro.wifi.csi import CsiTrace

@@ -20,7 +20,6 @@ from repro.dist.protocol import (
     BindAddress,
     MessageType,
     WireFix,
-    decode_frames,
     decode_frames_seq,
     decode_message,
     encode_frames,
@@ -58,7 +57,6 @@ __all__ = [
     "ShardSupervisor",
     "WireFix",
     "build_server",
-    "decode_frames",
     "decode_frames_seq",
     "decode_message",
     "encode_frames",

@@ -334,15 +334,6 @@ def decode_frames_seq(payload: bytes) -> List[Tuple[str, CsiFrame, int]]:
     return entries
 
 
-def decode_frames(payload: bytes) -> List[Tuple[str, CsiFrame]]:
-    """Decode an INGEST payload back into ``(ap_id, CsiFrame)`` entries.
-
-    The sequence-number-free view of :func:`decode_frames_seq`, for
-    callers that predate at-least-once delivery.
-    """
-    return [(ap_id, frame) for ap_id, frame, _seq in decode_frames_seq(payload)]
-
-
 # ----------------------------------------------------------------------
 # Trace-context propagation
 # ----------------------------------------------------------------------
@@ -371,7 +362,7 @@ def split_traced_ingest(payload: bytes) -> Tuple[TraceContext, bytes]:
     """Split an ``INGEST_TRACED`` payload into context + raw batch suffix.
 
     The suffix is a plain INGEST payload; decode it with
-    :func:`decode_frames` or :func:`decode_frames_seq` as needed.
+    :func:`decode_frames_seq`.
     """
     if len(payload) < _U16.size:
         raise TraceFormatError("INGEST_TRACED payload shorter than its length prefix")
@@ -389,14 +380,6 @@ def split_traced_ingest(payload: bytes) -> Tuple[TraceContext, bytes]:
     if not isinstance(data, dict):
         raise TraceFormatError("trace context must be a JSON object")
     return TraceContext.from_dict(data), payload[end:]
-
-
-def decode_traced_ingest(
-    payload: bytes,
-) -> Tuple[TraceContext, List[Tuple[str, CsiFrame]]]:
-    """Split an ``INGEST_TRACED`` payload into its context and batch."""
-    context, suffix = split_traced_ingest(payload)
-    return context, decode_frames(suffix)
 
 
 # ----------------------------------------------------------------------

@@ -23,9 +23,9 @@ from typing import Any, Dict, List, Mapping, Optional
 from repro.dist import protocol
 from repro.dist.protocol import MessageType, parse_bind
 from repro.errors import TraceFormatError
-from repro.obs import render_prometheus
 from repro.obs.collector import collect_trace_dir
 from repro.obs.http import TelemetryServer
+from repro.obs.prometheus import render_prometheus
 from repro.runtime import RuntimeMetrics
 
 _CACHE_COUNTER_KEYS = ("hits", "misses", "evictions", "entries")

@@ -20,91 +20,45 @@ The robustness layer around the SpotFi pipeline:
   (:class:`NetworkFaultSpec` and friends) and the :class:`FaultySocket`
   wrapper that applies them to live router/shard sockets.
 
-The chaos symbols (:func:`run_chaos`, :class:`ChaosReport`,
-:data:`SCENARIOS`, :func:`scenario_specs`, :func:`format_report`) are
-re-exported lazily from :mod:`repro.dist.chaos`, which owns every chaos
-scenario: it pulls in the whole server and dist stack, which itself
-depends on this package's leaf modules, so an eager import here would be
-circular.
+The chaos scenarios that drive these faults end to end live in
+:mod:`repro.dist.chaos`.
 """
 
-from repro.faults.breaker import BREAKER_STATES, CircuitBreaker
-from repro.faults.injector import FaultInjector
-from repro.faults.network import (
-    BlackHole,
-    ConnectionReset,
-    CorruptBytes,
-    FaultySocket,
-    NetworkFaultInjector,
-    NetworkFaultSpec,
-    PartialWrite,
-    ShortRead,
-    SlowLink,
-    WireEffect,
-    flip_bytes,
+from repro import _exports
+
+__all__ = _exports.install(
+    globals(),
+    {
+        "faults.breaker": ("BREAKER_STATES", "CircuitBreaker"),
+        "faults.injector": ("FaultInjector",),
+        "faults.network": (
+            "BlackHole",
+            "ConnectionReset",
+            "CorruptBytes",
+            "FaultySocket",
+            "NetworkFaultInjector",
+            "NetworkFaultSpec",
+            "PartialWrite",
+            "ShortRead",
+            "SlowLink",
+            "WireEffect",
+            "flip_bytes",
+        ),
+        "faults.retry": ("NO_RETRY", "RetryPolicy"),
+        "faults.spec": (
+            "ApBlackout",
+            "DropAntenna",
+            "DropFrame",
+            "DuplicateFrame",
+            "FaultSpec",
+            "NanSubcarriers",
+            "PhaseGlitch",
+            "ReorderFrames",
+            "TruncatePacket",
+            "ZeroSubcarriers",
+            "raw_frame",
+            "raw_trace",
+        ),
+        "faults.validator": ("FrameValidator", "ValidationPolicy"),
+    },
 )
-from repro.faults.retry import NO_RETRY, RetryPolicy
-from repro.faults.spec import (
-    ApBlackout,
-    DropAntenna,
-    DropFrame,
-    DuplicateFrame,
-    FaultSpec,
-    NanSubcarriers,
-    PhaseGlitch,
-    ReorderFrames,
-    TruncatePacket,
-    ZeroSubcarriers,
-    raw_frame,
-    raw_trace,
-)
-from repro.faults.validator import FrameValidator, ValidationPolicy
-
-_CHAOS_EXPORTS = (
-    "ChaosReport",
-    "SCENARIOS",
-    "format_report",
-    "run_chaos",
-    "scenario_specs",
-)
-
-__all__ = [
-    "ApBlackout",
-    "BREAKER_STATES",
-    "BlackHole",
-    "CircuitBreaker",
-    "ConnectionReset",
-    "CorruptBytes",
-    "DropAntenna",
-    "DropFrame",
-    "DuplicateFrame",
-    "FaultInjector",
-    "FaultSpec",
-    "FaultySocket",
-    "FrameValidator",
-    "NO_RETRY",
-    "NanSubcarriers",
-    "NetworkFaultInjector",
-    "NetworkFaultSpec",
-    "PartialWrite",
-    "PhaseGlitch",
-    "ReorderFrames",
-    "RetryPolicy",
-    "ShortRead",
-    "SlowLink",
-    "TruncatePacket",
-    "ValidationPolicy",
-    "WireEffect",
-    "ZeroSubcarriers",
-    "flip_bytes",
-    "raw_frame",
-    "raw_trace",
-] + list(_CHAOS_EXPORTS)
-
-
-def __getattr__(name: str) -> object:
-    if name in _CHAOS_EXPORTS:
-        from repro.dist import chaos
-
-        return getattr(chaos, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -38,84 +38,48 @@ layer:
   (``ObsConfig(capture_artifacts=True)``).
 """
 
-from repro.obs.artifacts import cluster_summary, downsample_spectrum
-from repro.obs.benchdiff import BenchDiff, MetricDelta, diff_benchmarks, diff_files
-from repro.obs.collector import (
-    collect_trace_dir,
-    format_merged_traces,
-    merge_spans,
-    merge_trace_files,
-)
-from repro.obs.config import ObsConfig
-from repro.obs.counters import (
-    CANONICAL_COUNTERS,
-    CANONICAL_STAGE_COUNTERS,
-    COUNTER_PATTERNS,
-    is_canonical_counter,
-    is_canonical_stage_counter,
-)
-from repro.obs.histogram import DEFAULT_TIMING_BUCKETS, Histogram, log_buckets
-from repro.obs.http import PROMETHEUS_CONTENT_TYPE, TelemetryServer, fetch_json
-from repro.obs.prometheus import render_prometheus
-from repro.obs.slo import (
-    SloObjective,
-    SloTracker,
-    latency_objective,
-    rate_objective,
-    success_rate_objective,
-)
-from repro.obs.stages import CANONICAL_STAGES, STAGE_PATTERNS, is_canonical_stage
-from repro.obs.trace import (
-    NOOP_TRACER,
-    JsonlSpanExporter,
-    NoopTracer,
-    Span,
-    TraceContext,
-    Tracer,
-    clamp_span_tree,
-    format_span_tree,
-    load_spans,
-)
+from repro import _exports
 
-__all__ = [
-    "ObsConfig",
-    "Tracer",
-    "NoopTracer",
-    "NOOP_TRACER",
-    "Span",
-    "TraceContext",
-    "JsonlSpanExporter",
-    "load_spans",
-    "clamp_span_tree",
-    "format_span_tree",
-    "merge_spans",
-    "merge_trace_files",
-    "collect_trace_dir",
-    "format_merged_traces",
-    "CANONICAL_STAGES",
-    "STAGE_PATTERNS",
-    "is_canonical_stage",
-    "CANONICAL_COUNTERS",
-    "CANONICAL_STAGE_COUNTERS",
-    "COUNTER_PATTERNS",
-    "is_canonical_counter",
-    "is_canonical_stage_counter",
-    "Histogram",
-    "log_buckets",
-    "DEFAULT_TIMING_BUCKETS",
-    "render_prometheus",
-    "TelemetryServer",
-    "fetch_json",
-    "PROMETHEUS_CONTENT_TYPE",
-    "SloObjective",
-    "SloTracker",
-    "latency_objective",
-    "success_rate_objective",
-    "rate_objective",
-    "BenchDiff",
-    "MetricDelta",
-    "diff_benchmarks",
-    "diff_files",
-    "downsample_spectrum",
-    "cluster_summary",
-]
+__all__ = _exports.install(
+    globals(),
+    {
+        "obs.artifacts": ("cluster_summary", "downsample_spectrum"),
+        "obs.benchdiff": ("BenchDiff", "MetricDelta", "diff_benchmarks", "diff_files"),
+        "obs.collector": (
+            "collect_trace_dir",
+            "format_merged_traces",
+            "merge_spans",
+            "merge_trace_files",
+        ),
+        "obs.config": ("ObsConfig",),
+        "obs.counters": (
+            "CANONICAL_COUNTERS",
+            "CANONICAL_STAGE_COUNTERS",
+            "COUNTER_PATTERNS",
+            "is_canonical_counter",
+            "is_canonical_stage_counter",
+        ),
+        "obs.histogram": ("DEFAULT_TIMING_BUCKETS", "Histogram", "log_buckets"),
+        "obs.http": ("PROMETHEUS_CONTENT_TYPE", "TelemetryServer", "fetch_json"),
+        "obs.prometheus": ("render_prometheus",),
+        "obs.slo": (
+            "SloObjective",
+            "SloTracker",
+            "latency_objective",
+            "rate_objective",
+            "success_rate_objective",
+        ),
+        "obs.stages": ("CANONICAL_STAGES", "STAGE_PATTERNS", "is_canonical_stage"),
+        "obs.trace": (
+            "NOOP_TRACER",
+            "JsonlSpanExporter",
+            "NoopTracer",
+            "Span",
+            "TraceContext",
+            "Tracer",
+            "clamp_span_tree",
+            "format_span_tree",
+            "load_spans",
+        ),
+    },
+)

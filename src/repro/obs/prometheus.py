@@ -35,6 +35,8 @@ from __future__ import annotations
 import re
 from typing import Dict, List, Mapping, Optional
 
+from repro.faults.breaker import BREAKER_STATES
+
 _NAME_RE = re.compile(r"[^a-zA-Z0-9_]")
 
 
@@ -188,11 +190,6 @@ def render_prometheus(
 
     breakers: Mapping[str, str] = snapshot.get("breakers", {})  # type: ignore[assignment]
     if breakers:
-        # Late import: repro.faults.breaker depends only on repro.errors,
-        # but keeping obs import-light at module load avoids widening the
-        # package's import graph for tracer-only users.
-        from repro.faults.breaker import BREAKER_STATES
-
         name = f"{prefix}_circuit_breaker_state"
         _family(
             lines,

@@ -22,13 +22,15 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import TYPE_CHECKING, Dict, Tuple
 
 import numpy as np
 
-from repro.core.music import MusicConfig, steering_weights
-from repro.core.steering import SteeringModel
 from repro.errors import ConfigurationError
+
+if TYPE_CHECKING:  # core's estimator imports this module
+    from repro.core.music import MusicConfig
+    from repro.core.steering import SteeringModel
 
 
 @dataclass(frozen=True)
@@ -61,6 +63,9 @@ class SteeringGrids:
 
 
 def _build_grids(model: SteeringModel, music: MusicConfig) -> SteeringGrids:
+    # Deferred: runtime sits below core, and this is its one call upward.
+    from repro.core.music import steering_weights
+
     aoa_grid = music.aoa_grid()
     tof_grid = music.tof_grid()
     phi = model.antenna_vector(aoa_grid)

@@ -28,6 +28,11 @@ from repro.faults.retry import NO_RETRY, RetryPolicy
 from repro.obs.histogram import Histogram
 from repro.runtime.metrics import RuntimeMetrics
 
+#: Items ship to workers in chunks of roughly
+#: ``len(items) / (workers * _CHUNK_FACTOR)`` to amortize pickling without
+#: starving the pool of parallel slack.
+_CHUNK_FACTOR = 4
+
 
 class _ChunkRunner:
     """Picklable worker task: run a chunk, timing each item.
@@ -147,10 +152,6 @@ class ParallelExecutor(Executor):
         Worker process count; defaults to the machine's CPU count.
     metrics:
         Shared metrics sink (a fresh one is created if omitted).
-    chunk_factor:
-        Items are shipped to workers in chunks of roughly
-        ``len(items) / (workers * chunk_factor)`` to amortize pickling
-        without starving the pool of parallel slack.
     retry:
         :class:`~repro.faults.retry.RetryPolicy` applied per chunk:
         transient worker failures are resubmitted with jittered
@@ -178,7 +179,6 @@ class ParallelExecutor(Executor):
         self,
         workers: Optional[int] = None,
         metrics: Optional[RuntimeMetrics] = None,
-        chunk_factor: int = 4,
         retry: Optional[RetryPolicy] = None,
     ) -> None:
         super().__init__(metrics, retry=retry)
@@ -186,10 +186,7 @@ class ParallelExecutor(Executor):
             workers = os.cpu_count() or 1
         if workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
-        if chunk_factor < 1:
-            raise ConfigurationError(f"chunk_factor must be >= 1, got {chunk_factor}")
         self._workers = int(workers)
-        self._chunk_factor = int(chunk_factor)
         self._pool = None
 
     @property
@@ -210,7 +207,7 @@ class ParallelExecutor(Executor):
         if not items:
             return []
         self.metrics.record_submit(stage, len(items))
-        chunksize = max(1, len(items) // (self._workers * self._chunk_factor))
+        chunksize = max(1, len(items) // (self._workers * _CHUNK_FACTOR))
         chunks = [items[i : i + chunksize] for i in range(0, len(items), chunksize)]
         runner = _ChunkRunner(fn, self.metrics.bucket_bounds)
         start = time.perf_counter()

@@ -201,8 +201,13 @@ class RuntimeMetrics:
                 timing.item_hist.merge(Histogram.from_dict(hist_data))
         return metrics
 
-    def _export_state(self) -> Tuple[Dict[str, int], Dict[str, "StageTiming"]]:
-        """Deep-copied (counters, timings) for a lock-safe merge."""
+    def _export_state(
+        self,
+    ) -> Tuple[Dict[str, int], Dict[str, Tuple[int, int, float, float, Histogram]]]:
+        """Deep-copied (counters, timings) for a lock-safe merge.
+
+        Each timing is ``(batches, items, total_s, max_s, item_hist)``.
+        """
         with self._lock:
             counters = dict(self._counters)
             timings = {

@@ -29,6 +29,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 import time
 from repro.core.pipeline import SpotFi, SpotFiFix
 from repro.errors import ConfigurationError, LocalizationError
+from repro.estimators.registry import resolve_name, tier_of
 from repro.faults.breaker import BREAKER_STATES, CircuitBreaker
 from repro.faults.injector import FaultInjector
 from repro.faults.validator import FrameValidator
@@ -203,8 +204,6 @@ class SpotFiServer:
             raise ConfigurationError("breaker_recovery_s must be >= 0")
         if self.estimator or self.downgrade_tier:
             # Fail at construction on a typo'd name, not at the first fix.
-            from repro.estimators import resolve_name
-
             if self.estimator:
                 resolve_name(self.estimator)
             if self.downgrade_tier:
@@ -445,14 +444,10 @@ class SpotFiServer:
         """Registry name a request resolves to (tiers -> tier default)."""
         if requested is None:
             return self.spotfi.default_estimator_name()
-        from repro.estimators import resolve_name
-
         return resolve_name(requested)
 
     def _estimator_counter(self, name: str) -> str:
         """Counter key rendered as ``repro_estimator_requests_total``."""
-        from repro.estimators import tier_of
-
         return f"estimator.requests.{name}.{tier_of(name)}"
 
     # ------------------------------------------------------------------

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import run_analysis
+from repro.analysis.runner import run_analysis
 from repro.analysis.rules import Linter
 
 REPO_ROOT = Path(__file__).resolve().parents[2]

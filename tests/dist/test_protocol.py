@@ -18,12 +18,11 @@ from repro.dist.protocol import (
     PROTOCOL_VERSION,
     WireFix,
     decode_fixes,
-    decode_frames,
+    decode_frames_seq,
     decode_header,
     decode_json,
     decode_message,
     decode_resume,
-    decode_traced_ingest,
     encode_fixes,
     encode_frames,
     encode_json,
@@ -34,6 +33,7 @@ from repro.dist.protocol import (
     parse_bind,
     recv_message,
     send_message,
+    split_traced_ingest,
 )
 from repro.obs import TraceContext
 from repro.errors import TraceFormatError, ValidationError
@@ -128,25 +128,28 @@ class TestSocketIO:
 class TestFrameBatches:
     def test_round_trip(self):
         entries = [("ap0", make_frame("t0", 0)), ("ap1", make_frame("t1", 1))]
-        decoded = decode_frames(encode_frames(entries))
-        assert [(ap, f.source) for ap, f in decoded] == [("ap0", "t0"), ("ap1", "t1")]
-        for (_, sent), (_, got) in zip(entries, decoded):
+        decoded = decode_frames_seq(encode_frames(entries))
+        assert [(ap, f.source, seq) for ap, f, seq in decoded] == [
+            ("ap0", "t0", 0),
+            ("ap1", "t1", 0),
+        ]
+        for (_, sent), (_, got, _) in zip(entries, decoded):
             np.testing.assert_allclose(got.csi, sent.csi)
             assert got.rssi_dbm == sent.rssi_dbm
             assert got.timestamp_s == sent.timestamp_s
 
     def test_empty_batch(self):
-        assert decode_frames(encode_frames([])) == []
+        assert decode_frames_seq(encode_frames([])) == []
 
     def test_truncated_batch_rejected(self):
         payload = encode_frames([("ap0", make_frame())])
         with pytest.raises(TraceFormatError, match="truncated"):
-            decode_frames(payload[:-8])
+            decode_frames_seq(payload[:-8])
 
     def test_trailing_bytes_rejected(self):
         payload = encode_frames([("ap0", make_frame())])
         with pytest.raises(TraceFormatError, match="trailing"):
-            decode_frames(payload + b"\x00")
+            decode_frames_seq(payload + b"\x00")
 
     def test_single_antenna_is_validation_error(self):
         # Well-framed, semantically invalid: header says 1 antenna.
@@ -156,11 +159,11 @@ class TestFrameBatches:
         rssi, stamp, _, subc, seq = meta.unpack_from(payload, offset)
         meta.pack_into(payload, offset, rssi, stamp, 1, subc, seq)
         with pytest.raises(ValidationError, match="antennas"):
-            decode_frames(bytes(payload[: offset + meta.size + 1 * subc * 16]))
+            decode_frames_seq(bytes(payload[: offset + meta.size + 1 * subc * 16]))
 
     def test_garbage_is_format_error(self):
         with pytest.raises(TraceFormatError):
-            decode_frames(b"\xff" * 3)
+            decode_frames_seq(b"\xff" * 3)
 
 
 class TestTracedIngest:
@@ -168,10 +171,11 @@ class TestTracedIngest:
         entries = [("ap0", make_frame("t0", 1)), ("ap1", make_frame("t1", 2))]
         context = TraceContext(trace_id="router-s3", span_id="router-s4")
         payload = encode_traced_ingest(entries, context)
-        decoded_context, decoded = decode_traced_ingest(payload)
+        decoded_context, suffix = split_traced_ingest(payload)
+        decoded = decode_frames_seq(suffix)
         assert decoded_context == context
-        assert [ap for ap, _ in decoded] == ["ap0", "ap1"]
-        for (_, sent), (_, received) in zip(entries, decoded):
+        assert [ap for ap, _, _ in decoded] == ["ap0", "ap1"]
+        for (_, sent), (_, received, _) in zip(entries, decoded):
             np.testing.assert_allclose(received.csi, sent.csi)
             assert received.source == sent.source
 
@@ -186,33 +190,33 @@ class TestTracedIngest:
 
     def test_unsampled_context_round_trips(self):
         context = TraceContext(trace_id="", span_id="", sampled=False)
-        decoded_context, decoded = decode_traced_ingest(
+        decoded_context, suffix = split_traced_ingest(
             encode_traced_ingest([("ap0", make_frame())], context)
         )
         assert decoded_context.sampled is False
-        assert len(decoded) == 1
+        assert len(decode_frames_seq(suffix)) == 1
 
     def test_payload_shorter_than_prefix_rejected(self):
         with pytest.raises(TraceFormatError):
-            decode_traced_ingest(b"\x01")
+            split_traced_ingest(b"\x01")
 
     def test_truncated_context_rejected(self):
         payload = encode_traced_ingest(
             [("ap0", make_frame())], TraceContext("trace", "span")
         )
         with pytest.raises(TraceFormatError):
-            decode_traced_ingest(payload[:10])
+            split_traced_ingest(payload[:10])
 
     def test_non_json_context_rejected(self):
         bad = struct.pack(">H", 4) + b"\xff\xfe\xfd\xfc" + encode_frames([])
         with pytest.raises(TraceFormatError):
-            decode_traced_ingest(bad)
+            split_traced_ingest(bad)
 
     def test_non_object_context_rejected(self):
         blob = b"[1,2]"
         bad = struct.pack(">H", len(blob)) + blob + encode_frames([])
         with pytest.raises(TraceFormatError):
-            decode_traced_ingest(bad)
+            split_traced_ingest(bad)
 
     def test_oversized_context_rejected_at_encode(self):
         huge = TraceContext(trace_id="t" * 70000, span_id="s")
@@ -223,9 +227,9 @@ class TestTracedIngest:
         # Forward compatibility: a newer router may add fields.
         blob = b'{"trace_id":"t","span_id":"s","baggage":"x"}'
         payload = struct.pack(">H", len(blob)) + blob + encode_frames([])
-        context, batch = decode_traced_ingest(payload)
+        context, suffix = split_traced_ingest(payload)
         assert context == TraceContext(trace_id="t", span_id="s")
-        assert batch == []
+        assert decode_frames_seq(suffix) == []
 
 
 class TestFixesAndJson:

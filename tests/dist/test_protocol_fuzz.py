@@ -24,9 +24,8 @@ ACCEPTABLE = (TraceFormatError, ValidationError)
 
 DECODERS = (
     protocol.decode_message,
-    protocol.decode_frames,
     protocol.decode_frames_seq,
-    protocol.decode_traced_ingest,
+    protocol.split_traced_ingest,
     protocol.decode_fixes,
     protocol.decode_json,
 )

@@ -118,7 +118,7 @@ class FakeShard:
 
     def _answer(self, conn, msg_type, payload) -> bool:
         if msg_type == MessageType.INGEST:
-            batch = protocol.decode_frames(payload)
+            batch = [(ap, frame) for ap, frame, _ in protocol.decode_frames_seq(payload)]
             self.frames_seen.extend(batch)
             fix = WireFix(
                 source=batch[0][1].source if batch else "?",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.faults import (
+from repro.dist.chaos import (
     SCENARIOS,
     ChaosReport,
     format_report,

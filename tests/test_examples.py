@@ -76,12 +76,6 @@ class TestExamples:
         assert "phone" in out and "laptop" in out
         assert "per-device fix counts" in out
 
-    def test_motion_sensing(self, monkeypatch, capsys):
-        run_example("motion_sensing.py", [], monkeypatch)
-        out = capsys.readouterr().out
-        assert "MOTION" in out
-        assert "motion bursts detected" in out
-
     def test_telemetry_smoke(self, monkeypatch, capsys):
         run_example(
             "telemetry_smoke.py", ["--packets", "6", "--sources", "1"], monkeypatch
