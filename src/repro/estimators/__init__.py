@@ -37,6 +37,8 @@ from repro.estimators.registry import (
     PLUGIN_GROUP,
     TIER_DEFAULTS,
     TIERS,
+    _load_builtins,
+    _load_plugins,
     available,
     create,
     register,
@@ -64,3 +66,9 @@ __all__ = [
     "to_report",
     "unregister",
 ]
+
+# Fill the registry once per process, after the names above are bound:
+# plugins import ``register`` from this package.  Pool and shard workers
+# then only ever read it.
+_load_builtins()
+_load_plugins()
