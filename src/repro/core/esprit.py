@@ -14,12 +14,12 @@ alternative estimator on the same smoothed CSI matrix SpotFi uses:
   automatically (the AoA operator is transformed into the ToF operator's
   eigenbasis, where it is approximately diagonal).
 
-Compared to the 2-D MUSIC search, ESPRIT is grid-free and an order of
-magnitude faster per packet.  Two caveats: it is more sensitive to
-coherent-path residual correlation, and the automatic pairing requires
-the ToF eigenvalues to be *distinct* — two paths at the same delay
-defeat the diagonalization regardless of angular separation (the
-spectral search has no such failure mode).
+Compared to the 2-D MUSIC search, ESPRIT is grid-free: 0.33 ms per
+packet against 0.54 ms on office bursts (2-CPU Xeon, 1 BLAS thread).
+Two caveats: it is more sensitive to coherent-path residual correlation,
+and the automatic pairing requires the ToF eigenvalues to be *distinct* —
+two paths at the same delay defeat the diagonalization regardless of
+angular separation (the spectral search has no such failure mode).
 
 :class:`EspritEstimator` shares :class:`~repro.core.estimator.JointEstimator`'s
 front end through their common base
@@ -142,50 +142,32 @@ class EspritEstimator(SubspaceEstimator):
             raise EstimationError("ESPRIT pairing failed: defective ToF operator")
         theta_eigs = np.diag(t_inv @ f_theta @ t)
 
-        estimates = []
-        for omega, phi in zip(tau_eigs, theta_eigs):
-            tof = self._tof_from_omega(omega)
-            aoa = self._aoa_from_phi(phi)
-            if aoa is None:
-                continue
-            estimates.append((aoa, tof))
-        if not estimates:
+        # Invert Omega(tau) = exp(-j 2 pi f_delta tau) on the principal
+        # branch, and Phi(theta) = exp(-j 2 pi d sin(theta) f / c); a
+        # mode with |sin(theta)| > 1 lies outside the visible region and
+        # is spurious.
+        sub = self._sub_model
+        tofs = -np.angle(tau_eigs) / (2.0 * np.pi * sub.subcarrier_spacing_hz)
+        sin_theta = -np.angle(theta_eigs) * SPEED_OF_LIGHT / (
+            2.0 * np.pi * sub.antenna_spacing_m * sub.carrier_freq_hz
+        )
+        visible = ~(np.abs(sin_theta) > 1.0)
+        if not visible.any():
             return []
-        powers = self._path_powers(csi, estimates)
+        aoas = np.degrees(np.arcsin(sin_theta[visible]))
+        tofs = tofs[visible]
+        powers = self._path_powers(csi, aoas, tofs)
         results = [
-            PathEstimate(
-                aoa_deg=aoa, tof_s=tof, power=float(p), packet_index=packet_index
-            )
-            for (aoa, tof), p in zip(estimates, powers)
+            PathEstimate(aoa_deg=aoa, tof_s=tof, power=p, packet_index=packet_index)
+            for aoa, tof, p in zip(aoas.tolist(), tofs.tolist(), powers.tolist())
         ]
         results.sort(key=lambda e: -e.power)
         return results
 
-    # ------------------------------------------------------------------
-    def _tof_from_omega(self, omega: complex) -> float:
-        """Invert Omega(tau) = exp(-j 2 pi f_delta tau), principal branch."""
-        angle = np.angle(omega)  # (-pi, pi]
-        return float(-angle / (2.0 * np.pi * self._sub_model.subcarrier_spacing_hz))
-
-    def _aoa_from_phi(self, phi: complex) -> Optional[float]:
-        """Invert Phi(theta) = exp(-j 2 pi d sin(theta) f / c)."""
-        angle = np.angle(phi)
-        sin_theta = -angle * SPEED_OF_LIGHT / (
-            2.0
-            * np.pi
-            * self._sub_model.antenna_spacing_m
-            * self._sub_model.carrier_freq_hz
-        )
-        if abs(sin_theta) > 1.0:
-            return None  # outside the visible region: a spurious mode
-        return float(np.degrees(np.arcsin(sin_theta)))
-
     def _path_powers(
-        self, csi: np.ndarray, estimates: Sequence[Tuple[float, float]]
+        self, csi: np.ndarray, aoas: np.ndarray, tofs: np.ndarray
     ) -> np.ndarray:
         """Least-squares path powers against the full-array steering matrix."""
-        aoas = [a for a, _ in estimates]
-        tofs = [t for _, t in estimates]
         a = self.model.steering_matrix(aoas, tofs)
         gains, *_ = np.linalg.lstsq(a, csi.reshape(-1), rcond=None)
         return np.abs(gains) ** 2

@@ -20,7 +20,13 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.music import MusicConfig, covariances, subspace_spectrum, subspaces
+from repro.core.music import (
+    MusicConfig,
+    covariances,
+    subspace_energy,
+    subspace_spectrum,
+    subspaces,
+)
 from repro.core.peaks import (
     PeakCandidates,
     merge_close_peaks,
@@ -290,9 +296,11 @@ class JointEstimator(SubspaceEstimator):
         """Alg. 2 lines 3-7 for every packet of one AP in one pass.
 
         Sanitize and smooth run over the whole stack, the covariances as
-        one batched matmul; ``eigh`` and the spectrum run per packet, and
-        each spectrum is reduced to its peak candidates before the next
-        is computed.  One stacked select then picks every packet's peaks.
+        one batched matmul; ``eigh`` and the projector energy run per
+        packet, and each packet's energy is reduced to its peak
+        candidates before the next is computed, mapping to spectrum
+        values only the cells the search gathers.  One stacked select
+        then picks every packet's peaks.
         Stages run under ``sanitize``, ``smooth`` and ``music`` spans; a
         stage where a packet failed ends with status ``error``.  With
         ``capture_artifacts`` the ``music`` span also carries the
@@ -317,12 +325,19 @@ class JointEstimator(SubspaceEstimator):
                 if isinstance(split, EstimationError):
                     outcomes[k] = split
                     continue
-                spectrum = subspace_spectrum(*split, self._sub_model, grids)
+                energy, to_spectrum = subspace_energy(*split, self._sub_model, grids)
                 candidates.append(
-                    self._candidates(spectrum, grids.aoa_grid_deg, grids.tof_grid_s)
+                    peak_candidates(
+                        energy,
+                        grids.aoa_grid_deg,
+                        grids.tof_grid_s,
+                        min_rel_height_db=self.min_rel_height_db,
+                        to_spectrum=to_spectrum,
+                    )
                 )
                 searched.append(k)
                 if capture:
+                    spectrum = to_spectrum(energy, out=energy)
                     total = spectrum if total is None else total + spectrum
             found = self._select(
                 candidates,
@@ -345,14 +360,6 @@ class JointEstimator(SubspaceEstimator):
                     ),
                 )
         return outcomes  # type: ignore[return-value]
-
-    def _candidates(
-        self, spectrum: np.ndarray, aoa_grid: np.ndarray, tof_grid: np.ndarray
-    ) -> PeakCandidates:
-        """Line 7's per-packet half: the spectrum's peak candidates."""
-        return peak_candidates(
-            spectrum, aoa_grid, tof_grid, min_rel_height_db=self.min_rel_height_db
-        )
 
     def _select(
         self,
@@ -427,7 +434,9 @@ class JointEstimator(SubspaceEstimator):
         packet_index: int = 0,
     ) -> List[PathEstimate]:
         """Peak extraction (line 7): spectrum -> sorted path estimates."""
-        candidates = self._candidates(spectrum, aoa_grid, tof_grid)
+        candidates = peak_candidates(
+            spectrum, aoa_grid, tof_grid, min_rel_height_db=self.min_rel_height_db
+        )
         return self._select([candidates], aoa_grid, tof_grid, [packet_index])[0]
 
     def estimate_burst(self, trace: CsiTrace) -> List[PathEstimate]:

@@ -191,8 +191,10 @@ def subspaces(
         snapshots = num_snapshots if num_snapshots > 0 else r.shape[0]
         num_signals = mdl_signal_dimension(eigenvalues, snapshots)
     else:
-        num_signals = int(np.sum(eigenvalues > config.eigenvalue_threshold_ratio * lam_max))
-    num_signals = int(np.clip(num_signals, 1, min(config.max_paths, r.shape[0] - 1)))
+        num_signals = int(
+            np.count_nonzero(eigenvalues > config.eigenvalue_threshold_ratio * lam_max)
+        )
+    num_signals = min(max(num_signals, 1), config.max_paths, r.shape[0] - 1)
     return eigenvectors[:, :num_signals], eigenvectors[:, num_signals:], num_signals
 
 
@@ -234,7 +236,7 @@ def _projected_energy(
     omega_conj: np.ndarray,
     weights: np.ndarray,
 ) -> np.ndarray:
-    """``|E^H a(theta, tau)|^2 / |a|^2`` over the grid, in projector form.
+    """``|E^H a(theta, tau)|^2`` over the grid, in projector form.
 
     ``sum_k |e_k^H a|^2 = a^H P a`` with ``P = E E^H``.  Since
     ``a = phi (x) omega``, splitting P into M x M blocks ``P_mm'`` of
@@ -243,7 +245,8 @@ def _projected_energy(
     real (A, 2M^2) x (2M^2, T) product against ``weights``
     (:func:`steering_weights`), independent of the rank K.  ``omega`` is
     the (T, N) subcarrier steering matrix and ``omega_conj`` its
-    conjugate.  Returns a fresh (A, T) float array.
+    conjugate.  Returns a fresh (A, T) float array of raw energies, not
+    yet normalized by ``|a|^2 = M N`` (see :class:`EnergyMap`).
     """
     basis = np.asarray(basis, dtype=np.complex128)
     m, n = model.num_antennas, model.num_subcarriers
@@ -258,11 +261,61 @@ def _projected_energy(
     half = (omega_conj @ blocks.reshape(n, m * m * n)).reshape(-1, m * m, n)
     q = (half * omega[:, None, :]).sum(axis=2).T  # (M*M, T)
     # a^H P a is real (P is Hermitian): Re(W Q) = Re W Re Q - Im W Im Q.
-    energy = weights @ np.concatenate((q.real, q.imag))
-    # The steering vector has norm sqrt(M*N); normalizing makes spectra
-    # comparable across configurations.
-    energy /= m * n
-    return energy
+    return weights @ np.concatenate((q.real, q.imag))
+
+
+@dataclass(frozen=True)
+class EnergyMap:
+    """The elementwise map from raw projector energy to spectrum values.
+
+    For a noise basis the pseudospectrum is ``1 / max(e / MN, 1e-18)``;
+    for a signal basis the complement identity makes it
+    ``1 / max(1 - e / MN, 1e-18)``.  Dividing by ``|a|^2 = M N`` makes
+    spectra comparable across configurations.  Every step is one
+    correctly rounded elementwise operation, so mapping any subset of a
+    grid's energies gives the bits that mapping the whole grid gives
+    there; and the map is monotone (non-decreasing for a signal basis,
+    non-increasing for a noise basis), so the peak search can run on the
+    energies (:func:`repro.core.peaks.peak_candidates`).
+
+    Attributes
+    ----------
+    sensors:
+        ``M N``, the squared norm of the steering vector.
+    from_signal:
+        True when the energies come from the signal basis.
+    """
+
+    sensors: int
+    from_signal: bool
+
+    @property
+    def increasing(self) -> bool:
+        """True when larger energy maps to a larger spectrum value."""
+        return self.from_signal
+
+    def __call__(self, energy: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Spectrum values of ``energy`` (into ``out``, which may be ``energy``)."""
+        values = np.divide(energy, self.sensors, out=out)
+        if self.from_signal:
+            np.subtract(1.0, values, out=values)
+        np.maximum(values, 1e-18, out=values)
+        return np.divide(1.0, values, out=values)
+
+    def bound(self, threshold: float) -> float:
+        """An energy bound every cell mapping to ``>= threshold`` meets.
+
+        Such a cell's energy is ``>=`` the bound when :attr:`increasing`,
+        else ``<=`` it.  The bound inverts the map with a 1e-12 relative
+        margin, far above the few roundings it undoes, so the cells it
+        admits are a superset; callers test the mapped values exactly.
+        """
+        if threshold <= 0:
+            return -np.inf if self.increasing else np.inf
+        inverse = 1.0 / float(threshold)
+        if self.from_signal:
+            return self.sensors * (1.0 - inverse) - self.sensors * 1e-12 * (1.0 + inverse)
+        return self.sensors * inverse * (1.0 + 1e-12)
 
 
 def _grid_energy(
@@ -279,13 +332,6 @@ def _grid_energy(
     if omega is None:
         omega = model.subcarrier_vector(np.asarray(tof_grid_s, dtype=float))  # (T, N)
     return _projected_energy(basis, model, omega, omega.conj(), steering_weights(phi))
-
-
-def _pseudospectrum(denom: np.ndarray) -> np.ndarray:
-    """``1 / max(denom, 1e-18)``, in place on the fresh (A, T) array."""
-    np.maximum(denom, 1e-18, out=denom)
-    np.divide(1.0, denom, out=denom)
-    return denom
 
 
 @contract(
@@ -324,9 +370,8 @@ def music_spectrum(
         Spectrum of shape (len(aoa_grid_deg), len(tof_grid_s)); larger is
         more likely a path.
     """
-    return _pseudospectrum(
-        _grid_energy(e_noise, model, aoa_grid_deg, tof_grid_s, phi, omega)
-    )
+    energy = _grid_energy(e_noise, model, aoa_grid_deg, tof_grid_s, phi, omega)
+    return EnergyMap(model.num_sensors, from_signal=False)(energy, out=energy)
 
 
 @contract(
@@ -351,7 +396,32 @@ def music_spectrum_from_signal(
     ``phi``/``omega`` behave as in :func:`music_spectrum`.
     """
     energy = _grid_energy(e_signal, model, aoa_grid_deg, tof_grid_s, phi, omega)
-    return _pseudospectrum(np.subtract(1.0, energy, out=energy))
+    return EnergyMap(model.num_sensors, from_signal=True)(energy, out=energy)
+
+
+def subspace_energy(
+    e_signal: np.ndarray,
+    e_noise: np.ndarray,
+    model: SteeringModel,
+    grids: "SteeringGrids",
+) -> Tuple[np.ndarray, EnergyMap]:
+    """Raw projector energy on cached grids of whichever basis is smaller.
+
+    Returns the (A, T) energies of ``e_signal`` when it has no more
+    columns than ``e_noise``, else of ``e_noise``, with the
+    :class:`EnergyMap` that turns them into the MUSIC spectrum.  The
+    grid factors (``conj(omega)`` and :func:`steering_weights`) come
+    from the cache instead of being rebuilt per packet.
+    """
+    from_signal = e_signal.shape[1] <= e_noise.shape[1]
+    energy = _projected_energy(
+        e_signal if from_signal else e_noise,
+        model,
+        grids.omega,
+        grids.omega_conj,
+        grids.weights,
+    )
+    return energy, EnergyMap(model.num_sensors, from_signal)
 
 
 def subspace_spectrum(
@@ -362,20 +432,13 @@ def subspace_spectrum(
 ) -> np.ndarray:
     """MUSIC spectrum on cached grids from whichever basis is smaller.
 
-    Equals :func:`music_spectrum_from_signal` of ``e_signal`` when it has
-    no more columns than ``e_noise``, else :func:`music_spectrum` of
-    ``e_noise``, both on ``grids``' AoA/ToF grids; the grid factors
-    (``conj(omega)`` and :func:`steering_weights`) come from the cache
-    instead of being rebuilt per packet.
+    :func:`subspace_energy` mapped over the whole grid: equals
+    :func:`music_spectrum_from_signal` of ``e_signal`` when it has no
+    more columns than ``e_noise``, else :func:`music_spectrum` of
+    ``e_noise``, both on ``grids``' AoA/ToF grids.
     """
-    if e_signal.shape[1] <= e_noise.shape[1]:
-        energy = _projected_energy(
-            e_signal, model, grids.omega, grids.omega_conj, grids.weights
-        )
-        return _pseudospectrum(np.subtract(1.0, energy, out=energy))
-    return _pseudospectrum(
-        _projected_energy(e_noise, model, grids.omega, grids.omega_conj, grids.weights)
-    )
+    energy, to_spectrum = subspace_energy(e_signal, e_noise, model, grids)
+    return to_spectrum(energy, out=energy)
 
 
 @contract(e_noise="(MN,K)", aoa_deg="float", tof_s="float", returns="float")

@@ -11,12 +11,17 @@ The search has two halves so that an AP's packets share one pass:
 neighbourhoods while the spectrum is live, and :func:`select_peaks`
 sorts, thresholds, caps and refines every packet's peaks at once.
 :func:`find_peaks_2d` is the one-spectrum case.
+
+The per-packet half also runs on values that a monotone elementwise map
+turns into the spectrum (:class:`SpectrumMap`), such as the MUSIC
+projector energy: the grid is searched as it is, and only the gathered
+cells are mapped.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, NamedTuple, Sequence
+from typing import List, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
@@ -58,6 +63,38 @@ class PeakCandidates(NamedTuple):
     window: np.ndarray
 
 
+class SpectrumMap(Protocol):
+    """A monotone elementwise map from searched values to spectrum values.
+
+    ``__call__`` gives each element the bits it would get in any array;
+    :attr:`increasing` tells a non-decreasing map from a non-increasing
+    one; ``bound(t)`` inverts it conservatively: every value mapping to
+    ``>= t`` is ``>=`` the bound if increasing, else ``<=`` it.
+    """
+
+    @property
+    def increasing(self) -> bool:
+        ...  # pragma: no cover
+
+    def __call__(self, values: np.ndarray) -> np.ndarray:
+        ...  # pragma: no cover
+
+    def bound(self, threshold: float) -> float:
+        ...  # pragma: no cover
+
+
+class _Identity:
+    """The map of a search over the spectrum itself."""
+
+    increasing = True
+
+    def __call__(self, values: np.ndarray) -> np.ndarray:
+        return values
+
+    def bound(self, threshold: float) -> float:
+        return threshold
+
+
 def peak_candidates(
     spectrum: np.ndarray,
     aoa_grid_deg: np.ndarray,
@@ -65,6 +102,7 @@ def peak_candidates(
     min_rel_height_db: float = 20.0,
     neighborhood: int = 3,
     exclude_border: bool = True,
+    to_spectrum: SpectrumMap = _Identity(),
 ) -> PeakCandidates:
     """The per-packet half of the search: one spectrum's peak cells.
 
@@ -74,31 +112,41 @@ def peak_candidates(
     drops to the strongest peak found (or to zero if none was) and the
     cells are tested again, while this spectrum is still at hand.  Only
     the peaks and their windows are kept, so a packet stack holds a few
-    dozen cells per packet, not a spectrum.  Arguments are
+    dozen cells per packet, not a spectrum.  The other arguments are
     :func:`find_peaks_2d`'s.
+
+    With ``to_spectrum`` the search runs on values that the map turns
+    into the spectrum, mapping only what it reads: the top is the map of
+    the allowed values' maximum (minimum for a non-increasing map), the
+    candidates are the cells on the kept side of
+    ``to_spectrum.bound(threshold)``, and their windows are mapped
+    before the peak tests.  The map being elementwise and monotone, the
+    result is bit for bit that of the search on the mapped grid.  The
+    searched values must be finite.
     """
-    spec = np.asarray(spectrum, dtype=float)
-    if spec.ndim != 2:
-        raise ConfigurationError(f"spectrum must be 2-D, got shape {spec.shape}")
-    if spec.shape != (len(aoa_grid_deg), len(tof_grid_s)):
+    values = np.asarray(spectrum, dtype=float)
+    if values.ndim != 2:
+        raise ConfigurationError(f"spectrum must be 2-D, got shape {values.shape}")
+    if values.shape != (len(aoa_grid_deg), len(tof_grid_s)):
         raise ConfigurationError(
-            f"spectrum shape {spec.shape} does not match grids "
+            f"spectrum shape {values.shape} does not match grids "
             f"({len(aoa_grid_deg)}, {len(tof_grid_s)})"
         )
-    if not np.isfinite(spec).all():
+    if not np.isfinite(values).all():
         raise ConfigurationError("spectrum must be finite")
-    allowed = spec[1:-1, 1:-1] if exclude_border else spec
+    allowed = values[1:-1, 1:-1] if exclude_border else values
     if allowed.size == 0:
         return PeakCandidates(
             np.zeros(0, dtype=np.intp), np.zeros((neighborhood**2, 0))
         )
-    top = allowed.max()
+    extreme = allowed.max() if to_spectrum.increasing else allowed.min()
+    top = to_spectrum(np.full(1, extreme))[0]
     scale = 10.0 ** (-min_rel_height_db / 10.0)
-    found = _peaks(spec, top * scale, neighborhood, exclude_border)
+    found = _peaks(values, to_spectrum, top * scale, neighborhood, exclude_border)
     power = found.window[neighborhood**2 // 2]
     if not (power == top).any():
         floor = power.max() * scale if power.size else 0.0
-        found = _peaks(spec, floor, neighborhood, exclude_border)
+        found = _peaks(values, to_spectrum, floor, neighborhood, exclude_border)
     return found
 
 
@@ -223,16 +271,22 @@ def interior_maxima(spectrum: np.ndarray) -> np.ndarray:
 
 
 def _peaks(
-    spec: np.ndarray, threshold: float, neighborhood: int, exclude_border: bool
+    values: np.ndarray,
+    to_spectrum: SpectrumMap,
+    threshold: float,
+    neighborhood: int,
+    exclude_border: bool,
 ) -> PeakCandidates:
-    """The peaks among the allowed cells ``>= threshold``, with windows.
+    """The peaks among the allowed cells mapping to ``>= threshold``.
 
     A peak is ``>=`` its whole window, ``> 0``, and strictly above the
-    window minimum.
+    window minimum, all in mapped values; the windows are returned
+    mapped.
     """
-    n_rows, n_cols = spec.shape
-    flat = spec.ravel()
-    index = np.flatnonzero(flat >= threshold)
+    n_rows, n_cols = values.shape
+    flat = values.ravel()
+    bound = to_spectrum.bound(threshold)
+    index = np.flatnonzero(flat >= bound if to_spectrum.increasing else flat <= bound)
     rows, cols = np.divmod(index, n_cols)
     if exclude_border:
         inside = (rows > 0) & (rows < n_rows - 1) & (cols > 0) & (cols < n_cols - 1)
@@ -243,10 +297,11 @@ def _peaks(
     window_rows = np.clip(rows + offsets, 0, n_rows - 1)
     window_cols = np.clip(cols + offsets, 0, n_cols - 1)
     window = flat[window_rows[:, None, :] * n_cols + window_cols[None, :, :]]
-    window = window.reshape(neighborhood * neighborhood, index.size)
-    center = flat[index]
+    window = to_spectrum(window.reshape(neighborhood * neighborhood, index.size))
+    center = window[neighborhood**2 // 2]
     is_peak = (
-        (center >= window.max(axis=0))
+        (center >= threshold)
+        & (center >= window.max(axis=0))
         & (center > 0)
         & (center > window.min(axis=0) * (1.0 + 1e-12))
     )

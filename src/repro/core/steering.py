@@ -120,7 +120,8 @@ class SteeringModel:
         """Steering matrix A = [a(theta_1, tau_1) ... a(theta_L, tau_L)].
 
         ``aoas_deg`` and ``tofs_s`` are equal-length sequences; the result
-        has shape (M*N, L).
+        has shape (M*N, L), and column k equals
+        ``steering_vector(aoas_deg[k], tofs_s[k])`` bit for bit.
         """
         aoas = np.atleast_1d(np.asarray(aoas_deg, dtype=float))
         tofs = np.atleast_1d(np.asarray(tofs_s, dtype=float))
@@ -128,8 +129,16 @@ class SteeringModel:
             raise ConfigurationError(
                 f"AoA/ToF lists must have equal length: {aoas.shape} vs {tofs.shape}"
             )
-        columns = [self.steering_vector(a, t) for a, t in zip(aoas, tofs)]
-        return np.stack(columns, axis=1)
+        # Phi and Omega per path as steering_vector evaluates them: on an
+        # array, phi() rounds differently in the last bit.  The powers
+        # and the Kronecker product are elementwise, so one call each
+        # over the L paths gives the same bits as L kron calls.
+        phi = np.array([self.phi(a) for a in aoas.tolist()], dtype=np.complex128)
+        omega = np.array([self.omega(t) for t in tofs.tolist()], dtype=np.complex128)
+        antenna = np.power(phi, index_vector(self.num_antennas)[:, None])  # (M, L)
+        subcarrier = np.power(omega, index_vector(self.num_subcarriers)[:, None])  # (N, L)
+        joint = antenna[:, None, :] * subcarrier[None, :, :]  # (M, N, L)
+        return joint.reshape(self.num_sensors, aoas.size)
 
     # ------------------------------------------------------------------
     # Construction helpers

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+from reference import reference_esprit_packet
 from repro.channel.csi_model import synthesize_csi
 from repro.channel.paths import PropagationPath
 from repro.core.esprit import EspritEstimator, _selection_indices
-from repro.core.estimator import JointEstimator, PathEstimate
-from repro.core.music import MusicConfig, covariance, forward_backward_average, subspaces
+from repro.core.estimator import JointEstimator
+from repro.core.music import MusicConfig, covariance, subspaces
 from repro.core.pipeline import SpotFi, SpotFiConfig
 from repro.core.sanitize import sanitize_csi
 from repro.core.smoothing import smooth_csi
@@ -21,50 +22,6 @@ from repro.wifi.csi import CsiTrace
 def estimator(grid, ula):
     model = SteeringModel.for_grid(grid, 3, ula.spacing_m)
     return EspritEstimator(model=model)
-
-
-def _reference_estimate_packet(est, csi, packet_index=0):
-    """Test oracle: ESPRIT with its own inline front end and eigen-split.
-
-    Everything after the signal subspace reuses the estimator's helpers;
-    the front end and the split are written out here so the shared
-    :func:`~repro.core.music.subspaces` path can be pinned bit for bit.
-    """
-    csi = np.asarray(csi, dtype=np.complex128)
-    if est.sanitize:
-        csi = sanitize_csi(csi)
-    r = covariance(smooth_csi(csi, est.smoothing))
-    if est.music.forward_backward:
-        r = forward_backward_average(r)
-    eigenvalues, eigenvectors = np.linalg.eigh((r + r.conj().T) / 2.0)
-    eigenvalues = eigenvalues[::-1]
-    eigenvectors = eigenvectors[:, ::-1]
-    num_paths = int(
-        np.sum(eigenvalues > est.music.eigenvalue_threshold_ratio * eigenvalues[0])
-    )
-    tau_j1, tau_j2, theta_j1, theta_j2 = _selection_indices(
-        est.smoothing.sub_antennas, est.smoothing.sub_subcarriers
-    )
-    limit = min(est.music.max_paths, len(tau_j1) - 1, len(theta_j1) - 1)
-    e_signal = eigenvectors[:, : int(np.clip(num_paths, 1, limit))]
-    f_tau = np.linalg.lstsq(e_signal[tau_j1], e_signal[tau_j2], rcond=None)[0]
-    f_theta = np.linalg.lstsq(e_signal[theta_j1], e_signal[theta_j2], rcond=None)[0]
-    tau_eigs, t = np.linalg.eig(f_tau)
-    theta_eigs = np.diag(np.linalg.inv(t) @ f_theta @ t)
-    estimates = []
-    for omega, phi in zip(tau_eigs, theta_eigs):
-        aoa = est._aoa_from_phi(phi)
-        if aoa is not None:
-            estimates.append((aoa, est._tof_from_omega(omega)))
-    if not estimates:
-        return []
-    powers = est._path_powers(csi, estimates)
-    results = [
-        PathEstimate(aoa_deg=aoa, tof_s=tof, power=float(p), packet_index=packet_index)
-        for (aoa, tof), p in zip(estimates, powers)
-    ]
-    results.sort(key=lambda e: -e.power)
-    return results
 
 
 class TestSelections:
@@ -158,12 +115,12 @@ class TestSharedSubspace:
             est = EspritEstimator(
                 model=SteeringModel.for_grid(grid, array.num_antennas, array.spacing_m)
             )
-            for i, frame in enumerate(trace):
-                got = est.estimate_packet(frame.csi, packet_index=i)
-                want = _reference_estimate_packet(est, frame.csi, packet_index=i)
-                assert got
-                assert got == want
-                compared += 1
+            csi = [frame.csi for frame in trace]
+            want = [reference_esprit_packet(est, c, packet_index=i) for i, c in enumerate(csi)]
+            assert all(want)
+            assert est.estimate_stack(csi) == want
+            assert est.estimate_packet(csi[1], packet_index=1) == want[1]
+            compared += len(csi)
         assert compared == 18
 
     def test_mdl_order_honoured(self, estimator, ula, grid, three_paths):

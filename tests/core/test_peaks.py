@@ -6,15 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
+from reference import reference_find_peaks_2d
 from repro import Intel5300
 from repro.core.estimator import JointEstimator
+from repro.core.music import EnergyMap, MusicConfig, subspace_energy, subspace_spectrum
 from repro.core.peaks import (
     SpectrumPeak,
     find_peaks_2d,
     interior_maxima,
     merge_close_peaks,
+    peak_candidates,
+    select_peaks,
 )
 from repro.errors import ConfigurationError
+from repro.runtime.cache import default_steering_cache
 from repro.testbed.layout import office_testbed
 from repro.testbed.scenarios import office_locations
 
@@ -303,3 +308,160 @@ class TestMerge:
 
     def test_empty_input(self):
         assert merge_close_peaks([]) == []
+
+
+# ----------------------------------------------------------------------
+# The search on projector energy: peak_candidates with a SpectrumMap
+# ----------------------------------------------------------------------
+SUB_MODEL = JointEstimator.for_intel5300(
+    office_testbed().office_aps()[0], Intel5300().grid()
+).subarray_model
+SUB_GRIDS = default_steering_cache().grids_for(SUB_MODEL, MusicConfig())
+
+
+def _mapped_peaks(energy, to_spectrum, aoa, tof, max_peaks=8, min_rel_height_db=20.0):
+    """The estimator's path: search the energy, then the stacked select.
+
+    The candidates must also be those of the search over the mapped grid.
+    """
+    found = peak_candidates(
+        energy, aoa, tof, min_rel_height_db=min_rel_height_db, to_spectrum=to_spectrum
+    )
+    on_spectrum = peak_candidates(
+        to_spectrum(energy), aoa, tof, min_rel_height_db=min_rel_height_db
+    )
+    assert np.array_equal(found.index, on_spectrum.index)
+    assert np.array_equal(found.window, on_spectrum.window)
+    return select_peaks([found], aoa, tof, max_peaks, min_rel_height_db)[0]
+
+
+def _energy_near(to_spectrum, value):
+    """An energy whose mapped value is ``value`` up to rounding."""
+    if to_spectrum.from_signal:
+        return to_spectrum.sensors * (1.0 - 1.0 / value)
+    return to_spectrum.sensors / value
+
+
+def _energy_mapping_to(to_spectrum, value):
+    """An energy whose mapped value is exactly ``value``, or None.
+
+    Searched within 64 ulps of the inverse; near the signal map's pole
+    not every spectrum value is the image of an energy.
+    """
+    below = above = _energy_near(to_spectrum, value)
+    for _ in range(64):
+        for e in (below, above):
+            if to_spectrum(np.full(1, e))[0] == value:
+                return e
+        below, above = np.nextafter(below, -np.inf), np.nextafter(above, np.inf)
+    return None
+
+
+def _mapped(to_spectrum, energy):
+    return to_spectrum(np.full(1, energy))[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    rank=st.integers(min_value=1, max_value=SUB_MODEL.num_sensors - 1),
+    max_peaks=st.integers(min_value=1, max_value=12),
+    min_rel_height_db=st.floats(min_value=0.0, max_value=40.0),
+)
+def test_energy_search_matches_reference_on_random_bases(
+    seed, rank, max_peaks, min_rel_height_db
+):
+    # Ranks up to half the sensors search the signal basis's energy
+    # (increasing map), larger ones the noise basis's (decreasing map).
+    rng = np.random.default_rng(seed)
+    size = SUB_MODEL.num_sensors
+    basis, _ = np.linalg.qr(rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size)))
+    energy, to_spectrum = subspace_energy(basis[:, :rank], basis[:, rank:], SUB_MODEL, SUB_GRIDS)
+    assert to_spectrum.from_signal == (rank <= size - rank)
+    aoa, tof = SUB_GRIDS.aoa_grid_deg, SUB_GRIDS.tof_grid_s
+    spectrum = to_spectrum(energy)
+    assert np.array_equal(
+        spectrum, subspace_spectrum(basis[:, :rank], basis[:, rank:], SUB_MODEL, SUB_GRIDS)
+    )
+    got = _mapped_peaks(energy, to_spectrum, aoa, tof, max_peaks, min_rel_height_db)
+    assert got == reference_find_peaks_2d(
+        spectrum, aoa, tof, max_peaks=max_peaks, min_rel_height_db=min_rel_height_db
+    )
+
+
+class TestEnergySearchEdges:
+    """Crafted energies where the energy-side threshold must be exact."""
+
+    AOA = np.linspace(-90.0, 90.0, 12)
+    TOF = np.linspace(0.0, 200e-9, 14)
+
+    def _grid(self, to_spectrum):
+        # Background mapping to a spectrum value of about 1.5.
+        return np.full((len(self.AOA), len(self.TOF)), _energy_near(to_spectrum, 1.5))
+
+    def _check(self, energy, to_spectrum, **kwargs):
+        got = _mapped_peaks(energy, to_spectrum, self.AOA, self.TOF, **kwargs)
+        want = reference_find_peaks_2d(to_spectrum(energy), self.AOA, self.TOF, **kwargs)
+        assert got == want
+        return got
+
+    @pytest.mark.parametrize("from_signal", [False, True])
+    def test_threshold_exactly_on_a_cell(self, from_signal):
+        to_spectrum = EnergyMap(30, from_signal)
+        energy = self._grid(to_spectrum)
+        # Step the top energy until 1% of its value is itself the image
+        # of an energy, and put that energy on a second, isolated peak.
+        top = _energy_near(to_spectrum, 400.0)
+        step = np.inf if from_signal else -np.inf
+        for _ in range(64):
+            threshold = _mapped(to_spectrum, top) * 10.0 ** (-20.0 / 10.0)
+            on_threshold = _energy_mapping_to(to_spectrum, threshold)
+            if on_threshold is not None:
+                break
+            top = np.nextafter(top, step)
+        assert on_threshold is not None
+        energy[3, 3] = top
+        energy[8, 9] = on_threshold
+        peaks = self._check(energy, to_spectrum)
+        assert [p.power for p in peaks] == [_mapped(to_spectrum, top), threshold]
+        # A smaller mapped value and the second peak is gone.
+        while _mapped(to_spectrum, energy[8, 9]) >= threshold:
+            energy[8, 9] = np.nextafter(energy[8, 9], -step)
+        assert len(self._check(energy, to_spectrum)) == 1
+
+    @pytest.mark.parametrize("from_signal", [False, True])
+    def test_tied_top_cells(self, from_signal):
+        to_spectrum = EnergyMap(30, from_signal)
+        energy = self._grid(to_spectrum)
+        for cell in [(2, 2), (2, 3), (7, 10), (9, 4)]:
+            energy[cell] = _energy_near(to_spectrum, 1e6)
+        peaks = self._check(energy, to_spectrum, min_rel_height_db=0.0)
+        assert len(peaks) == 4
+
+    def test_clamped_cells_tie_at_the_top(self):
+        # Noise energies at or below 30e-18 all map to the 1/1e-18 ceiling.
+        to_spectrum = EnergyMap(30, from_signal=False)
+        energy = self._grid(to_spectrum)
+        for cell, value in [((2, 2), -5.0), ((6, 6), 0.0), ((9, 11), 1e-30)]:
+            energy[cell] = value
+        peaks = self._check(energy, to_spectrum, min_rel_height_db=0.0)
+        assert [p.power for p in peaks] == [_mapped(to_spectrum, 0.0)] * 3
+
+    @pytest.mark.parametrize("from_signal", [False, True])
+    def test_rescan_when_the_top_cell_is_not_a_peak(self, from_signal):
+        # The strongest interior cell sits beside a larger border cell, so
+        # the peak at 0.4% of it is only found by the rescan.
+        to_spectrum = EnergyMap(30, from_signal)
+        energy = self._grid(to_spectrum)
+        energy[0, 5] = _energy_near(to_spectrum, 1e4)
+        energy[1, 5] = _energy_near(to_spectrum, 5e3)
+        energy[7, 8] = _energy_near(to_spectrum, 20.0)
+        peaks = self._check(energy, to_spectrum)
+        assert [p.power for p in peaks] == [_mapped(to_spectrum, energy[7, 8])]
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_energy_rejected(self, value):
+        energy = self._grid(EnergyMap(30, False))
+        energy[4, 4] = value
+        with pytest.raises(ConfigurationError, match="finite"):
+            peak_candidates(energy, self.AOA, self.TOF, to_spectrum=EnergyMap(30, False))

@@ -237,6 +237,21 @@ class TestTracedStack:
         )
         assert music.attributes["packets"] == len(csi)
 
+    def test_captured_pseudospectrum_keeps_every_cell(self, burst):
+        # The peak search maps only the cells it gathers; the captured
+        # mean still maps the whole grid, at full resolution here.
+        sim, array, csi = burst
+        estimator = estimator_for(sim, array)
+        tracer = Tracer(ObsConfig(capture_artifacts=True, artifact_max_bins=256))
+        estimator.estimate_stack(csi, tracer=tracer)
+        music = next(s for s in tracer.finished_spans() if s.name == "music")
+        spectra = [estimator.spectrum(c)[0] for c in csi]
+        _, aoa_grid, tof_grid = estimator.spectrum(csi[0])
+        assert music.attributes["pseudospectrum"] == downsample_spectrum(
+            sum(spectra[1:], spectra[0]) / len(csi), aoa_grid, tof_grid, 256
+        )
+        assert len(music.attributes["pseudospectrum"]["power_db"]) == len(aoa_grid)
+
     def test_failed_stage_span_is_marked(self, burst):
         sim, array, csi = burst
         estimator = estimator_for(sim, array)

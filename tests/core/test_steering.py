@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from reference import reference_steering_matrix
 from repro.constants import SPEED_OF_LIGHT
 from repro.core.steering import SteeringModel
 from repro.errors import ConfigurationError
@@ -96,6 +99,34 @@ class TestVectors:
     def test_steering_matrix_length_mismatch(self, model):
         with pytest.raises(ConfigurationError):
             model.steering_matrix([10.0], [10e-9, 20e-9])
+
+    def test_steering_matrix_without_paths(self, model):
+        mat = model.steering_matrix([], [])
+        assert mat.shape == (90, 0)
+        assert mat.dtype == np.complex128
+
+
+FULL_MODEL = SteeringModel(3, 30, 0.029, 5.19e9, 1.25e6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    subarray=st.booleans(),
+    paths=st.lists(
+        st.tuples(
+            st.floats(min_value=-90.0, max_value=90.0),
+            st.floats(min_value=-100e-9, max_value=400e-9),
+        ),
+        max_size=14,
+    ),
+)
+def test_steering_matrix_matches_kron_reference(subarray, paths):
+    model = FULL_MODEL.subarray_model(2, 15) if subarray else FULL_MODEL
+    aoas = [a for a, _ in paths]
+    tofs = [t for _, t in paths]
+    assert np.array_equal(
+        model.steering_matrix(aoas, tofs), reference_steering_matrix(model, aoas, tofs)
+    )
 
 
 class TestConstruction:

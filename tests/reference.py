@@ -12,14 +12,21 @@ factors rebuilt for every packet, and a peak search that tests and
 refines one spectrum's candidates.  :func:`reference_estimate_packet`
 composes them like ``stage_sanitize -> stage_smooth -> stage_music ->
 stage_peaks`` did.
+
+Per-packet ESPRIT (:func:`reference_esprit_packet`): the same front end
+with the eigen-split written out, each eigenvalue converted to (AoA,
+ToF) on its own, and path powers fitted against a steering matrix built
+one ``np.kron`` column per path (:func:`reference_steering_matrix`).
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.constants import SPEED_OF_LIGHT
+from repro.core.esprit import EspritEstimator, _selection_indices
 from repro.core.estimator import JointEstimator, PathEstimate
 from repro.core.music import subspaces
 from repro.core.peaks import SpectrumPeak, merge_close_peaks
@@ -213,3 +220,83 @@ def reference_estimate_packets(
         except EstimationError as exc:
             out.append(repr(exc))
     return out
+
+
+def reference_steering_matrix(
+    model: SteeringModel, aoas_deg: List[float], tofs_s: List[float]
+) -> np.ndarray:
+    """(M*N, L) steering matrix, one ``np.kron`` column per path."""
+    columns = [
+        np.kron(model.antenna_vector(float(a)), model.subcarrier_vector(float(t)))
+        for a, t in zip(aoas_deg, tofs_s)
+    ]
+    if not columns:
+        return np.zeros((model.num_sensors, 0), dtype=np.complex128)
+    return np.stack(columns, axis=1)
+
+
+def _reference_tof(model: SteeringModel, omega: complex) -> float:
+    """Invert Omega(tau) = exp(-j 2 pi f_delta tau), principal branch."""
+    return float(-np.angle(omega) / (2.0 * np.pi * model.subcarrier_spacing_hz))
+
+
+def _reference_aoa(model: SteeringModel, phi: complex) -> Optional[float]:
+    """Invert Phi(theta) = exp(-j 2 pi d sin(theta) f / c); None if not visible."""
+    sin_theta = -np.angle(phi) * SPEED_OF_LIGHT / (
+        2.0 * np.pi * model.antenna_spacing_m * model.carrier_freq_hz
+    )
+    if abs(sin_theta) > 1.0:
+        return None
+    return float(np.degrees(np.arcsin(sin_theta)))
+
+
+def reference_esprit_packet(
+    estimator: EspritEstimator, csi: np.ndarray, packet_index: int = 0
+) -> List[PathEstimate]:
+    """One packet's ESPRIT path estimates, strongest first.
+
+    Threshold model order only (no MDL); raises the packet's
+    :class:`EstimationError` on a degenerate covariance.
+    """
+    csi = validate_csi_matrix(csi)
+    if estimator.sanitize:
+        csi = reference_sanitize_csi(csi)
+    x = reference_smooth_csi(csi, estimator.smoothing)
+    r = x @ x.conj().T
+    if estimator.music.forward_backward:
+        r = (r + r[::-1, ::-1].conj()) / 2.0
+    eigenvalues, eigenvectors = np.linalg.eigh((r + r.conj().T) / 2.0)
+    eigenvalues = eigenvalues[::-1]
+    eigenvectors = eigenvectors[:, ::-1]
+    if eigenvalues[0] <= 0:
+        raise EstimationError("covariance has no positive eigenvalues (zero CSI?)")
+    num_paths = int(
+        np.sum(eigenvalues > estimator.music.eigenvalue_threshold_ratio * eigenvalues[0])
+    )
+    tau_j1, tau_j2, theta_j1, theta_j2 = _selection_indices(
+        estimator.smoothing.sub_antennas, estimator.smoothing.sub_subcarriers
+    )
+    limit = min(estimator.music.max_paths, len(tau_j1) - 1, len(theta_j1) - 1)
+    e_signal = eigenvectors[:, : int(np.clip(num_paths, 1, limit))]
+    f_tau = np.linalg.lstsq(e_signal[tau_j1], e_signal[tau_j2], rcond=None)[0]
+    f_theta = np.linalg.lstsq(e_signal[theta_j1], e_signal[theta_j2], rcond=None)[0]
+    tau_eigs, t = np.linalg.eig(f_tau)
+    theta_eigs = np.diag(np.linalg.inv(t) @ f_theta @ t)
+    sub = estimator.subarray_model
+    paths = []
+    for omega, phi in zip(tau_eigs, theta_eigs):
+        aoa = _reference_aoa(sub, phi)
+        if aoa is not None:
+            paths.append((aoa, _reference_tof(sub, omega)))
+    if not paths:
+        return []
+    a = reference_steering_matrix(
+        estimator.model, [p[0] for p in paths], [p[1] for p in paths]
+    )
+    powers = np.abs(np.linalg.lstsq(a, csi.reshape(-1), rcond=None)[0]) ** 2
+    results = [
+        PathEstimate(aoa, tof, float(p), packet_index)
+        for (aoa, tof), p in zip(paths, powers)
+    ]
+    results.sort(key=lambda e: -e.power)
+    return results

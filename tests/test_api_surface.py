@@ -93,6 +93,13 @@ class TestImports:
                 - CORE_SUPPORT,
                 id="core-loads-no-serving-lint-or-sockets",
             ),
+            # The core uses one path-loss model, not the RF simulator.
+            pytest.param(
+                "repro.core",
+                lambda loaded: _under(loaded, ["repro.channel"])
+                - {"repro.channel", "repro.channel.pathloss"},
+                id="core-loads-no-channel-simulator",
+            ),
             # The whole serving stack (server, dist, estimators, testbed)
             # also imports with numpy alone.
             pytest.param("repro.cli", lambda loaded: set(), id="cli-loads-no-scipy"),
