@@ -291,12 +291,17 @@ def _peaks(
     if exclude_border:
         inside = (rows > 0) & (rows < n_rows - 1) & (cols > 0) & (cols < n_cols - 1)
         index, rows, cols = index[inside], rows[inside], cols[inside]
-    # Clipping the window to the grid repeats the edge cell, which is
-    # what ndimage's mode="nearest" means.
     offsets = (index_vector(neighborhood) - neighborhood // 2)[:, None]
-    window_rows = np.clip(rows + offsets, 0, n_rows - 1)
-    window_cols = np.clip(cols + offsets, 0, n_cols - 1)
-    window = flat[window_rows[:, None, :] * n_cols + window_cols[None, :, :]]
+    if exclude_border and neighborhood == 3:
+        # Every allowed cell is one cell inside the grid, so its 3 x 3
+        # window is too: gather it straight from the flat index.
+        window = flat[index + (offsets * n_cols + offsets.T).reshape(-1, 1)]
+    else:
+        # Clipping the window to the grid repeats the edge cell, which is
+        # what ndimage's mode="nearest" means.
+        window_rows = np.clip(rows + offsets, 0, n_rows - 1)
+        window_cols = np.clip(cols + offsets, 0, n_cols - 1)
+        window = flat[window_rows[:, None, :] * n_cols + window_cols[None, :, :]]
     window = to_spectrum(window.reshape(neighborhood * neighborhood, index.size))
     center = window[neighborhood**2 // 2]
     is_peak = (

@@ -12,9 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.errors import GeometryError
 from repro.geom.points import Point, PointLike, as_point
-from repro.geom.segments import Segment, rectangle_walls
+from repro.geom.segments import Segment, WallArrays, rectangle_walls
 
 
 @dataclass(frozen=True)
@@ -95,14 +97,11 @@ class Floorplan:
         Crossings at the path endpoints are excluded (a ray leaving a
         reflection point on a wall is not blocked by that wall).
         """
+        pa, pb = as_point(a), as_point(b)
         ignore_ids = {id(w) for w in ignore}
-        crossed = []
-        for wall in self.walls:
-            if id(wall) in ignore_ids:
-                continue
-            if wall.crosses(a, b):
-                crossed.append(wall)
-        return crossed
+        skip = np.array([[id(w) in ignore_ids for w in self.walls]], dtype=bool)
+        crossed = WallArrays(self.walls).crossings([pa.x], [pa.y], [pb.x], [pb.y], skip)[0]
+        return [wall for wall, hit in zip(self.walls, crossed) if hit]
 
     def has_los(self, a: PointLike, b: PointLike) -> bool:
         """True if no wall obstructs the straight line between a and b."""

@@ -1,10 +1,18 @@
-"""Line segments (walls) and the intersection predicates ray tracing needs."""
+"""Line segments (walls) and the intersection predicates ray tracing needs.
+
+:class:`Segment` states each predicate for one wall in scalar
+arithmetic; :class:`WallArrays` evaluates the same arithmetic over many
+walls and many query segments at once, which is how the floorplan's
+occlusion queries and the ray tracer run them.
+"""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.errors import GeometryError
 from repro.geom.points import Point, PointLike, as_point
@@ -125,16 +133,10 @@ class Segment:
         point *on* this wall should not count as the wall obstructing its
         own reflected ray.
         """
-        hit = self.intersect(path_a, path_b)
-        if hit is None:
-            return False
-        if not exclude_endpoints:
-            return True
-        _, point = hit
         pa, pb = as_point(path_a), as_point(path_b)
-        if point.distance_to(pa) <= endpoint_tol or point.distance_to(pb) <= endpoint_tol:
-            return False
-        return True
+        tol = endpoint_tol if exclude_endpoints else -1.0
+        crossed = WallArrays([self]).crossings([pa.x], [pa.y], [pb.x], [pb.y], endpoint_tol=tol)
+        return bool(crossed[0, 0])
 
     def incidence_cos(self, incoming_from: PointLike, hit_point: PointLike) -> float:
         """|cos| of the incidence angle of a ray arriving at ``hit_point``.
@@ -162,3 +164,126 @@ def rectangle_walls(
         Segment(c[2], c[3], material),
         Segment(c[3], c[0], material),
     ]
+
+
+#: A wall selector for :class:`WallArrays`: indices, or ``slice(None)``
+#: for every wall along the last axis.
+WallIndex = Union[np.ndarray, slice]
+
+
+def distances_within(
+    dx: np.ndarray, dy: np.ndarray, limit: float, candidates: np.ndarray
+) -> np.ndarray:
+    """``math.hypot(dx, dy)`` of the candidates that may lie within ``limit``.
+
+    Every other entry is ``inf``.  ``np.hypot`` need not round like
+    ``math.hypot``, so the few distances a threshold can decide are
+    computed one by one in Python.  A rounded hypotenuse is never below
+    its longer leg, so an entry with a leg longer than ``2 * limit`` is
+    farther than ``limit`` and keeps ``inf``.
+    """
+    dx, dy, candidates = np.broadcast_arrays(dx, dy, candidates)
+    near = candidates & (np.maximum(np.abs(dx), np.abs(dy)) <= 2.0 * limit)
+    out = np.full(near.shape, np.inf)
+    for i in np.flatnonzero(near).tolist():
+        out.flat[i] = math.hypot(dx.flat[i], dy.flat[i])
+    return out
+
+
+class WallArrays:
+    """A wall list as coordinate columns, for predicates over many walls.
+
+    :meth:`mirror` and :meth:`intersect` repeat :meth:`Segment.mirror`
+    and :meth:`Segment.intersect` elementwise, operation for operation
+    and in the same order, so every float they return equals the scalar
+    result bit for bit: numpy applies the same IEEE-754 double operations
+    and fuses none of them.  Wall directions come from
+    :attr:`Segment.direction` itself.  The columns are a snapshot of
+    ``walls``: build a new one after the wall list changes.
+    """
+
+    def __init__(self, walls: Sequence[Segment]) -> None:
+        self.walls = list(walls)
+        columns = np.array(
+            [(w.a.x, w.a.y, w.b.x, w.b.y, *w.direction) for w in self.walls], dtype=float
+        ).reshape(-1, 6)
+        self.ax, self.ay, self.bx, self.by, self.dx, self.dy = columns.T
+        self.rx = self.bx - self.ax
+        self.ry = self.by - self.ay
+        first: Dict[int, int] = {}
+        #: Per wall, the index of the first entry holding the same object:
+        #: ``walls[i] is walls[j]`` exactly when the identities are equal.
+        self.identity = np.array(
+            [first.setdefault(id(w), i) for i, w in enumerate(self.walls)], dtype=np.intp
+        )
+
+    def __len__(self) -> int:
+        return len(self.walls)
+
+    def mirror(
+        self, wall: WallIndex, px: np.ndarray, py: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Points ``(px, py)`` reflected across the lines of walls ``wall``."""
+        dx, dy = self.dx[wall], self.dy[wall]
+        apx, apy = px - self.ax[wall], py - self.ay[wall]
+        along = apx * dx + apy * dy
+        perpx, perpy = apx - dx * along, apy - dy * along
+        return px - perpx * 2.0, py - perpy * 2.0
+
+    def intersect(
+        self,
+        wall: WallIndex,
+        qx: np.ndarray,
+        qy: np.ndarray,
+        ex: np.ndarray,
+        ey: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Walls ``wall`` against the segments ``(qx, qy) -> (ex, ey)``.
+
+        Returns ``(hit, x, y)``: where :meth:`Segment.intersect` would
+        return ``(t, point)``, ``hit`` is True and ``(x, y)`` is that
+        point; elsewhere ``x``/``y`` hold meaningless values.
+        """
+        ax, ay, rx, ry = self.ax[wall], self.ay[wall], self.rx[wall], self.ry[wall]
+        sx, sy = ex - qx, ey - qy
+        denom = rx * sy - ry * sx
+        qpx, qpy = qx - ax, qy - ay
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            t = (qpx * sy - qpy * sx) / denom
+            u = (qpx * ry - qpy * rx) / denom
+            hit = (
+                ~(np.abs(denom) < EPS)
+                & (-EPS <= t)
+                & (t <= 1.0 + EPS)
+                & (-EPS <= u)
+                & (u <= 1.0 + EPS)
+            )
+            # max(0.0, min(1.0, t)), keeping its choice at ties and -0.0.
+            t = np.where(t < 1.0, t, 1.0)
+            t = np.where(t > 0.0, t, 0.0)
+            return hit, ax + t * rx, ay + t * ry
+
+    def crossings(
+        self,
+        ax: Sequence[float],
+        ay: Sequence[float],
+        bx: Sequence[float],
+        by: Sequence[float],
+        skip: Optional[np.ndarray] = None,
+        endpoint_tol: float = 1e-6,
+    ) -> np.ndarray:
+        """``(legs, walls)`` mask: which walls each leg ``a -> b`` crosses.
+
+        A wall crosses a leg when they intersect farther than
+        ``endpoint_tol`` from both leg endpoints (a negative tolerance
+        keeps hits at the endpoints too) -- :meth:`Segment.crosses` for
+        every pair.  Pairs set in the ``(legs, walls)`` mask ``skip``
+        are not tested and read False.
+        """
+        pax, pay, pbx, pby = (np.asarray(v, dtype=float)[:, None] for v in (ax, ay, bx, by))
+        hit, x, y = self.intersect(slice(None), pax, pay, pbx, pby)
+        if skip is not None:
+            hit &= ~skip
+        for px, py in ((pax, pay), (pbx, pby)):
+            hit &= ~(distances_within(x - px, y - py, endpoint_tol, hit) <= endpoint_tol)
+        return hit

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from reference import reference_trace
 
 from repro.channel.multipath import (
     MultipathProfile,
@@ -14,6 +15,8 @@ from repro.channel.paths import PropagationPath
 from repro.constants import SPEED_OF_LIGHT
 from repro.errors import ConfigurationError
 from repro.geom.floorplan import empty_room
+from repro.geom.rays import RayTracer
+from repro.testbed.layout import office_testbed
 from repro.wifi.arrays import UniformLinearArray
 
 WAVELENGTH = SPEED_OF_LIGHT / 5.19e9
@@ -85,6 +88,29 @@ class TestExtractProfile:
         room.add_scatterer((4.0, 5.0), 0.5)
         after = extract_profile(room, (6.5, 3.0), array, WAVELENGTH).num_paths
         assert after >= before
+
+
+class TestReferenceTracer:
+    def test_office_profile_matches_reference_tracer(self, monkeypatch):
+        """The array tracer changes no weighted path of a real link.
+
+        An obstructed office link with reflections, penetrations and
+        scatterers: the same profile, float for float, as the scalar
+        reference tracer fed through the same weighting.
+        """
+        testbed = office_testbed()
+        ap = testbed.aps[1]
+        target = testbed.targets[0].position
+        assert not testbed.floorplan.has_los(target, ap.position)
+        actual = extract_profile(testbed.floorplan, target, ap, WAVELENGTH)
+        monkeypatch.setattr(RayTracer, "trace", reference_trace)
+        expected = extract_profile(testbed.floorplan, target, ap, WAVELENGTH)
+        assert actual.num_paths == 8
+
+        def fields(profile):
+            return [(p.aoa_deg, p.tof_s, p.gain, p.kind, p.length_m) for p in profile.paths]
+
+        assert fields(actual) == fields(expected)
 
 
 class TestProfileContainer:

@@ -17,11 +17,16 @@ Per-packet ESPRIT (:func:`reference_esprit_packet`): the same front end
 with the eigen-split written out, each eigenvalue converted to (AoA,
 ToF) on its own, and path powers fitted against a steering matrix built
 one ``np.kron`` column per path (:func:`reference_steering_matrix`).
+
+Scalar image-method ray tracing (:func:`reference_trace`): the tracer
+before it ran as arrays over all walls -- one wall sequence at a time,
+one ``Point`` per image and hit, one ``Segment.crosses`` call per
+(leg, wall) pair (:func:`reference_walls_crossed`).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,7 +37,18 @@ from repro.core.music import subspaces
 from repro.core.peaks import SpectrumPeak, merge_close_peaks
 from repro.core.smoothing import SmoothingConfig
 from repro.core.steering import SteeringModel
-from repro.errors import EstimationError
+from repro.errors import EstimationError, GeometryError
+from repro.geom.floorplan import Floorplan
+from repro.geom.points import Point, PointLike, as_point
+from repro.geom.rays import (
+    KIND_DIFFRACTION,
+    KIND_DIRECT,
+    KIND_REFLECTION,
+    KIND_SCATTER,
+    RayTracer,
+    TracedPath,
+)
+from repro.geom.segments import Segment
 from repro.runtime.cache import default_steering_cache
 from repro.wifi.csi import validate_csi_matrix
 
@@ -300,3 +316,171 @@ def reference_esprit_packet(
     ]
     results.sort(key=lambda e: -e.power)
     return results
+
+
+def reference_crosses(
+    wall: Segment, path_a: PointLike, path_b: PointLike, endpoint_tol: float = 1e-6
+) -> bool:
+    """``Segment.crosses`` one (wall, leg) pair at a time, in scalar arithmetic."""
+    hit = wall.intersect(path_a, path_b)
+    if hit is None:
+        return False
+    _, point = hit
+    pa, pb = as_point(path_a), as_point(path_b)
+    if point.distance_to(pa) <= endpoint_tol or point.distance_to(pb) <= endpoint_tol:
+        return False
+    return True
+
+
+def reference_walls_crossed(
+    plan: Floorplan, a: PointLike, b: PointLike, ignore: Sequence[Segment] = ()
+) -> List[Segment]:
+    """``Floorplan.walls_crossed`` as one :func:`reference_crosses` per wall."""
+    ignore_ids = {id(w) for w in ignore}
+    return [
+        wall
+        for wall in plan.walls
+        if id(wall) not in ignore_ids and reference_crosses(wall, a, b)
+    ]
+
+
+def reference_trace(tracer: RayTracer, tx: PointLike, rx: PointLike) -> List[TracedPath]:
+    """``RayTracer.trace`` one wall sequence, scatterer and edge at a time.
+
+    Takes the tracer as its first argument, so it can stand in for the
+    method (``monkeypatch.setattr(RayTracer, "trace", reference_trace)``).
+    """
+    tx_p, rx_p = as_point(tx), as_point(rx)
+    if tx_p.distance_to(rx_p) < 1e-9:
+        raise GeometryError("transmitter and receiver coincide")
+    plan = tracer.floorplan
+    paths: List[TracedPath] = []
+    crossed = reference_walls_crossed(plan, tx_p, rx_p)
+    if not crossed or tracer.allow_through_wall:
+        paths.append(
+            TracedPath(vertices=(tx_p, rx_p), kind=KIND_DIRECT, penetrated_walls=tuple(crossed))
+        )
+    if tracer.max_reflection_order >= 1:
+        for walls in _reference_wall_sequences(plan.walls, tracer.max_reflection_order):
+            path = _reference_reflect_via(tracer, tx_p, rx_p, walls)
+            if path is not None:
+                paths.append(path)
+    if tracer.include_scatterers:
+        paths.extend(_reference_scatterers(tracer, tx_p, rx_p))
+    if tracer.include_diffraction:
+        paths.extend(_reference_diffraction(plan, tx_p, rx_p))
+    return paths
+
+
+def _reference_wall_sequences(
+    walls: Sequence[Segment], max_order: int
+) -> List[Tuple[Segment, ...]]:
+    """Wall sequences up to ``max_order``, no wall twice in a row."""
+    sequences: List[Tuple[Segment, ...]] = [(w,) for w in walls]
+    prev_level = sequences[:]
+    for _ in range(1, max_order):
+        level = []
+        for seq in prev_level:
+            for wall in walls:
+                if wall is seq[-1]:
+                    continue
+                level.append(seq + (wall,))
+        sequences.extend(level)
+        prev_level = level
+    return sequences
+
+
+def _reference_reflect_via(
+    tracer: RayTracer, tx: Point, rx: Point, walls: Tuple[Segment, ...]
+) -> Optional[TracedPath]:
+    """The specular path off ``walls`` in order: images out, hits back."""
+    images = [tx]
+    for wall in walls:
+        images.append(wall.mirror(images[-1]))
+    hits: List[Point] = []
+    target = rx
+    for wall, image in zip(reversed(walls), reversed(images[:-1])):
+        mirrored = wall.mirror(image)
+        hit = wall.intersect(mirrored, target)
+        if hit is None:
+            return None
+        _, hit_point = hit
+        hits.append(hit_point)
+        target = hit_point
+    hits.reverse()
+    vertices = (tx, *hits, rx)
+    for a, b in zip(vertices, vertices[1:]):
+        if a.distance_to(b) < 1e-6:
+            return None
+    penetrated: List[Segment] = []
+    leg_walls = [None, *walls, None]
+    for i, (a, b) in enumerate(zip(vertices, vertices[1:])):
+        ignore = [w for w in (leg_walls[i], leg_walls[i + 1]) if w is not None]
+        crossed = reference_walls_crossed(tracer.floorplan, a, b, ignore=ignore)
+        if crossed and not tracer.allow_through_wall:
+            return None
+        penetrated.extend(crossed)
+    return TracedPath(
+        vertices=vertices,
+        kind=KIND_REFLECTION,
+        reflecting_walls=walls,
+        penetrated_walls=tuple(penetrated),
+    )
+
+
+def _reference_scatterers(tracer: RayTracer, tx: Point, rx: Point) -> List[TracedPath]:
+    paths: List[TracedPath] = []
+    for scatterer in tracer.floorplan.scatterers:
+        s = scatterer.position
+        if s.distance_to(tx) < 1e-9 or s.distance_to(rx) < 1e-9:
+            continue
+        penetrated: List[Segment] = []
+        blocked = False
+        for a, b in ((tx, s), (s, rx)):
+            crossed = reference_walls_crossed(tracer.floorplan, a, b)
+            if crossed and not tracer.allow_through_wall:
+                blocked = True
+                break
+            penetrated.extend(crossed)
+        if blocked:
+            continue
+        paths.append(
+            TracedPath(
+                vertices=(tx, s, rx),
+                kind=KIND_SCATTER,
+                penetrated_walls=tuple(penetrated),
+                scatterer=scatterer,
+            )
+        )
+    return paths
+
+
+def _reference_diffraction(plan: Floorplan, tx: Point, rx: Point) -> List[TracedPath]:
+    """Free wall endpoints both ends see, when the direct line is blocked."""
+    if not reference_walls_crossed(plan, tx, rx):
+        return []
+    paths: List[TracedPath] = []
+    seen: set = set()
+    for wall in plan.walls:
+        for edge in (wall.a, wall.b):
+            key = (round(edge.x, 6), round(edge.y, 6))
+            if key in seen:
+                continue
+            seen.add(key)
+            if edge.distance_to(tx) < 1e-6 or edge.distance_to(rx) < 1e-6:
+                continue
+            if any(other is not wall and other.contains_point(edge) for other in plan.walls):
+                continue
+            if reference_walls_crossed(plan, tx, edge) or reference_walls_crossed(plan, edge, rx):
+                continue
+            incoming = (edge - tx).normalized()
+            outgoing = (rx - edge).normalized()
+            cos_bend = max(-1.0, min(1.0, incoming.dot(outgoing)))
+            bend = float(np.arccos(cos_bend)) if cos_bend < 1.0 else 0.0
+            if bend < 1e-6:
+                continue
+            paths.append(
+                TracedPath(vertices=(tx, edge, rx), kind=KIND_DIFFRACTION, diffraction_angle_rad=bend)
+            )
+    paths.sort(key=lambda p: p.diffraction_angle_rad)
+    return paths[:4]
