@@ -68,12 +68,15 @@ class ChainOffsets:
         )
 
     def apply(self, csi: np.ndarray) -> np.ndarray:
-        """Rotate each antenna row of a CSI matrix by its chain offset."""
+        """Rotate each antenna row of a CSI matrix by its chain offset.
+
+        ``csi`` is one ``(M, N)`` matrix or a ``(K, M, N)`` packet stack.
+        """
         csi = np.asarray(csi, dtype=np.complex128)
-        if csi.shape[0] != self.num_antennas:
+        if csi.ndim < 2 or csi.shape[-2] != self.num_antennas:
             raise ConfigurationError(
-                f"CSI has {csi.shape[0]} antennas, offsets describe "
-                f"{self.num_antennas}"
+                f"CSI of shape {csi.shape} has no {self.num_antennas}-antenna "
+                f"rows for these offsets"
             )
         rot = np.exp(1j * np.asarray(self.offsets_rad))
         return csi * rot[:, None]

@@ -22,7 +22,7 @@ objects, the input of Algorithm 2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -52,25 +52,57 @@ def synthesize_csi(
     Returns a complex array of shape (num_antennas, num_subcarriers).
     """
     path_list = list(paths)
-    if not path_list:
+    gains = np.array([[path.gain for path in path_list]], dtype=np.complex128)
+    return _synthesize_stack(path_list, gains, array, grid)[0]
+
+
+def _synthesize_stack(
+    paths: Sequence[PropagationPath],
+    gains: np.ndarray,
+    array: UniformLinearArray,
+    grid: OfdmGrid,
+) -> np.ndarray:
+    """Clean CSI ``(K, M, N)`` of ``paths`` with each row of ``gains`` ``(K, L)``.
+
+    Row k replaces the paths' own gains with ``gains[k]``.  The phase
+    factors of all paths are built at once, elementwise as for one path,
+    and the paths are added in order onto zeros, so every packet equals
+    the CSI of its faded paths summed one path at a time, bit for bit.
+    """
+    if not paths:
         raise ConfigurationError("cannot synthesize CSI with zero paths")
     freqs = grid.subcarrier_freqs_hz()  # absolute f_n, shape (N,)
     f_c = grid.carrier_freq_hz
     m = np.arange(array.num_antennas)  # (M,)
-    csi = np.zeros((array.num_antennas, grid.num_subcarriers), dtype=np.complex128)
-    for path in path_list:
-        sin_theta = np.sin(np.deg2rad(path.aoa_deg))
-        tof_phase = np.exp(-2j * np.pi * (freqs - f_c) * path.tof_s)  # (N,)
-        aoa_phase = np.exp(
-            -2j
-            * np.pi
-            * np.outer(m, freqs)
-            * array.spacing_m
-            * sin_theta
-            / SPEED_OF_LIGHT
-        )  # (M, N)
-        csi += path.gain * aoa_phase * tof_phase[None, :]
+    aoa = np.array([path.aoa_deg for path in paths], dtype=float)
+    tof = np.array([path.tof_s for path in paths], dtype=float)
+    sin_theta = np.sin(np.deg2rad(aoa))[:, None, None]  # (L, 1, 1)
+    tof_phase = np.exp(-2j * np.pi * (freqs - f_c) * tof[:, None])  # (L, N)
+    aoa_phase = np.exp(
+        -2j
+        * np.pi
+        * np.outer(m, freqs)
+        * array.spacing_m
+        * sin_theta
+        / SPEED_OF_LIGHT
+    )  # (L, M, N)
+    terms = gains[:, :, None, None] * aoa_phase * tof_phase[:, None, :]  # (K, L, M, N)
+    csi = np.zeros((len(gains),) + aoa_phase.shape[1:], dtype=np.complex128)
+    for path in range(len(paths)):
+        csi += terms[:, path]
     return csi
+
+
+class _TraceDraws(NamedTuple):
+    """Every random draw of one trace, in the order the generator made them."""
+
+    #: Per packet, per path: the fading amplitude (dB) and phase draws.
+    fades: List[List[Tuple[float, float]]]
+    states: List[ImpairmentState]
+    #: Two standard-normal ``(M, N)`` draws per packet that draws noise.
+    normals: Optional[np.ndarray]
+    #: Per packet RSSI jitter (dB); empty when the jitter is off.
+    rssi_jitter: List[float]
 
 
 @dataclass
@@ -155,6 +187,11 @@ class ChannelSimulator:
         receive-chain phase offsets (see `repro.channel.chains`).  The
         paper's collection uses 500 packets at 100 ms intervals
         (Sec. 4.3.1); those are the defaults upstream.
+
+        All draws come first, packet by packet in a fixed order (see
+        :meth:`_draw`); the arithmetic then runs on the whole ``(K, M, N)``
+        stack, each packet exactly as it would run alone.  So the first k
+        frames of a trace are the k-packet trace of the same generator.
         """
         if num_packets < 1:
             raise ConfigurationError(f"num_packets must be >= 1, got {num_packets}")
@@ -166,55 +203,106 @@ class ChannelSimulator:
                 f"no propagation paths from {as_point(target)} to AP at "
                 f"{array.position}; target may be fully shielded"
             )
-        fading = self.fading_std_db > 0 or self.fading_phase_std_rad > 0
-        clean = None if fading else synthesize_csi(profile, array, self.grid)
-        base_rssi = profile.rssi_dbm(self.tx_power_dbm)
-        frames = []
-        for i in range(num_packets):
-            if fading:
-                clean = synthesize_csi(self._faded(profile, rng), array, self.grid)
-            state = self.impairments.draw_state(i, rng)
-            csi = clean
-            if chain is not None:
-                csi = chain.apply(csi)
-            csi = self.impairments.apply(
-                csi, state, self.grid.subcarrier_spacing_hz, rng
-            )
-            rssi = base_rssi
-            if self.rssi_jitter_db > 0:
-                rssi += rng.normal(0.0, self.rssi_jitter_db)
-            frames.append(
+        shape = (array.num_antennas, self.grid.num_subcarriers)
+        # A packet draws noise only when its signal power is positive, which
+        # its own earlier draws decide.  Plan on noise wherever the SNR is
+        # finite; if the computed powers disagree, rewind and draw again
+        # with their decisions.  Packet i's decision depends only on draws
+        # made before its noise, so each replay settles at least the first
+        # packet that was planned wrong.
+        plan = np.full(num_packets, np.isfinite(self.impairments.snr_db))
+        start = rng.bit_generator.state
+        while True:
+            draws = self._draw(num_packets, profile.num_paths, shape, plan, rng)
+            stack = self._rotated(profile, array, chain, draws)
+            noisy, noise_std = self.impairments.noise_std(stack, draws.states)
+            if np.array_equal(noisy, plan):
+                break
+            rng.bit_generator.state = start
+            plan = noisy
+        csi = self.impairments.finish(stack, noisy, noise_std, draws.normals)
+        rssi = np.full(num_packets, profile.rssi_dbm(self.tx_power_dbm))
+        if draws.rssi_jitter:
+            rssi = rssi + draws.rssi_jitter
+        return CsiTrace(
+            [
                 CsiFrame(
-                    csi=csi,
-                    rssi_dbm=float(np.round(rssi)),
+                    csi=csi[i],
+                    rssi_dbm=float(rssi_dbm),
                     timestamp_s=i * packet_interval_s,
                     source=source,
                 )
-            )
-        return CsiTrace(frames)
+                for i, rssi_dbm in enumerate(np.round(rssi))
+            ]
+        )
 
-    def _faded(
-        self, profile: MultipathProfile, rng: np.random.Generator
-    ) -> MultipathProfile:
-        """One packet's fading realization of a multipath profile."""
-        paths = []
-        for path in profile:
-            amp = 10.0 ** (rng.normal(0.0, self.fading_std_db) / 20.0)
-            phase = (
-                rng.normal(0.0, self.fading_phase_std_rad)
-                if self.fading_phase_std_rad > 0
-                else 0.0
+    def _draw(
+        self,
+        num_packets: int,
+        num_paths: int,
+        shape: Tuple[int, int],
+        noisy: np.ndarray,
+        rng: np.random.Generator,
+    ) -> _TraceDraws:
+        """Every draw of a trace, packet by packet, and no other arithmetic.
+
+        Per packet: each path's fading amplitude and phase (with fading
+        on), the impairment state, the two noise draws (where ``noisy``),
+        then the RSSI jitter.
+        """
+        fading = self.fading_std_db > 0 or self.fading_phase_std_rad > 0
+        fades, states, normals, jitter = [], [], [], []
+        for i in range(num_packets):
+            if fading:
+                fades.append([self._fade_draws(rng) for _ in range(num_paths)])
+            states.append(self.impairments.draw_state(i, rng))
+            if noisy[i]:
+                normals.append(rng.standard_normal((2,) + shape))
+            if self.rssi_jitter_db > 0:
+                jitter.append(rng.normal(0.0, self.rssi_jitter_db))
+        return _TraceDraws(fades, states, np.array(normals) if normals else None, jitter)
+
+    def _fade_draws(self, rng: np.random.Generator) -> Tuple[float, float]:
+        """One path's fading draws for one packet: amplitude (dB), phase."""
+        amplitude_db = rng.normal(0.0, self.fading_std_db)
+        phase = (
+            rng.normal(0.0, self.fading_phase_std_rad)
+            if self.fading_phase_std_rad > 0
+            else 0.0
+        )
+        return amplitude_db, phase
+
+    def _rotated(
+        self,
+        profile: MultipathProfile,
+        array: UniformLinearArray,
+        chain: Optional[ChainOffsets],
+        draws: _TraceDraws,
+    ) -> np.ndarray:
+        """The trace's CSI stack with chain offsets, STO and CFO applied."""
+        if draws.fades:
+            # One scalar product per packet and path, as each packet faded
+            # its profile on its own: numpy's array power and complex
+            # product round differently from the scalar ones.
+            phases = np.exp(1j * np.array([[p for _, p in row] for row in draws.fades]))
+            gains = np.array(
+                [
+                    [
+                        path.gain * 10.0 ** (amplitude_db / 20.0) * rotation
+                        for path, (amplitude_db, _), rotation in zip(profile, row, rotations)
+                    ]
+                    for row, rotations in zip(draws.fades, phases)
+                ],
+                dtype=np.complex128,
             )
-            paths.append(
-                PropagationPath(
-                    aoa_deg=path.aoa_deg,
-                    tof_s=path.tof_s,
-                    gain=path.gain * amp * np.exp(1j * phase),
-                    kind=path.kind,
-                    length_m=path.length_m,
-                )
-            )
-        return MultipathProfile(paths=paths)
+        else:
+            gains = np.array([[path.gain for path in profile]], dtype=np.complex128)
+        clean = _synthesize_stack(profile.paths, gains, array, self.grid)
+        if chain is not None:
+            clean = chain.apply(clean)
+        return self.impairments.rotate(
+            clean, draws.states, self.grid.subcarrier_spacing_hz
+        )
 
     def generate_traces(
         self,

@@ -21,7 +21,7 @@ and benchmarks can inspect exactly what was injected.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -118,27 +118,77 @@ class ImpairmentModel:
         The STO multiplies subcarrier n (0-based) by
         ``exp(-j 2 pi f_delta n sto)`` — identical across antennas, the
         structure Algorithm 1 exploits.  AWGN is scaled relative to the
-        mean CSI power; quantization is applied last.
+        mean CSI power; quantization is applied last.  This is the
+        one-packet case of :meth:`rotate`, :meth:`noise_std` and
+        :meth:`finish`, which a trace runs over all its packets at once.
         """
         csi = np.asarray(csi, dtype=np.complex128)
-        num_subcarriers = csi.shape[-1]
-        n = np.arange(num_subcarriers)
-        sto_ramp = np.exp(-2j * np.pi * subcarrier_spacing_hz * n * state.sto_s)
-        out = csi * sto_ramp[None, :]
-        if state.cfo_phase_rad:
-            out = out * np.exp(1j * state.cfo_phase_rad)
-        if np.isfinite(state.snr_db):
-            signal_power = float(np.mean(np.abs(out) ** 2))
-            if signal_power > 0:
-                noise_power = signal_power * 10.0 ** (-state.snr_db / 10.0)
-                noise_std = np.sqrt(noise_power / 2.0)
-                noise = rng.normal(0.0, noise_std, out.shape) + 1j * rng.normal(
-                    0.0, noise_std, out.shape
-                )
-                out = out + noise
-        if self.quantizer is not None:
-            out = self.quantizer.quantize(out)
+        stack = self.rotate(csi[None], [state], subcarrier_spacing_hz)
+        noisy, noise_std = self.noise_std(stack, [state])
+        normals = rng.standard_normal((1, 2) + csi.shape) if noisy[0] else None
+        return self.finish(stack, noisy, noise_std, normals)[0]
+
+    def rotate(
+        self,
+        csi: np.ndarray,
+        states: Sequence[ImpairmentState],
+        subcarrier_spacing_hz: float,
+    ) -> np.ndarray:
+        """Each packet's STO ramp and CFO rotation: a ``(K, M, N)`` stack.
+
+        ``csi`` is the clean ``(K, M, N)`` stack, or one ``(M, N)`` matrix
+        shared by all K packets of ``states``.  A packet whose CFO phase
+        is 0 is not rotated at all (a product with ``exp(0j)`` could flip
+        the sign of a zero).
+        """
+        sto = np.array([s.sto_s for s in states], dtype=float)
+        cfo = np.array([s.cfo_phase_rad for s in states], dtype=float)
+        n = np.arange(np.shape(csi)[-1])
+        ramps = np.exp(-2j * np.pi * subcarrier_spacing_hz * n * sto[:, None])
+        out = csi * ramps[:, None, :]
+        rotated = cfo != 0
+        out[rotated] *= np.exp(1j * cfo[rotated])[:, None, None]
         return out
+
+    def noise_std(
+        self, stack: np.ndarray, states: Sequence[ImpairmentState]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Which packets of a rotated stack draw AWGN, and its std-dev.
+
+        Returns ``(noisy, std)``.  A packet draws noise when its SNR is
+        finite and its mean power is positive; the noise power is that
+        mean power times ``10^(-snr/10)``, split evenly between the real
+        and imaginary parts.
+        """
+        power = np.mean(np.abs(stack) ** 2, axis=tuple(range(1, stack.ndim)))
+        noisy = np.isfinite([s.snr_db for s in states]) & (power > 0)
+        # Python's scalar pow, one per packet: numpy's array power rounds
+        # differently in the last bit for some exponents.
+        ratio = [10.0 ** (-s.snr_db / 10.0) if n else 0.0 for s, n in zip(states, noisy)]
+        return noisy, np.sqrt(power * ratio / 2.0)
+
+    def finish(
+        self,
+        stack: np.ndarray,
+        noisy: np.ndarray,
+        noise_std: np.ndarray,
+        normals: Optional[np.ndarray],
+    ) -> np.ndarray:
+        """Add each noisy packet's AWGN to a rotated stack, then quantize.
+
+        ``normals`` holds two standard-normal draws shaped like one packet
+        for each packet with ``noisy`` set, in packet order, real part
+        first (None when no packet is noisy).  ``0.0 + std * z`` is what
+        ``rng.normal(0.0, std)`` computes from the same draw ``z``.
+        """
+        if noisy.any():
+            std = noise_std[noisy].reshape((-1,) + (1,) * (stack.ndim - 1))
+            noise = (0.0 + std * normals[:, 0]) + 1j * (0.0 + std * normals[:, 1])
+            stack = stack.copy()
+            stack[noisy] = stack[noisy] + noise
+        if self.quantizer is not None:
+            stack = self.quantizer.quantize_stack(stack)
+        return stack
 
 
 def ideal_impairments() -> ImpairmentModel:

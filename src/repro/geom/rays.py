@@ -24,6 +24,7 @@ of a one-wall-at-a-time trace, bit for bit and in the same order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -38,6 +39,10 @@ KIND_DIRECT = "direct"
 KIND_REFLECTION = "reflection"
 KIND_SCATTER = "scatter"
 KIND_DIFFRACTION = "diffraction"
+
+#: A wall endpoint within this distance (m) of another wall is a junction
+#: (``Segment.contains_point``'s default tolerance).
+_JUNCTION_TOL = 1e-6
 
 #: One reflection order's specular paths: wall indices ``(n, k)`` and
 #: vertex coordinates ``xs``, ``ys`` ``(n, k + 2)``, from tx to rx.
@@ -76,9 +81,9 @@ class TracedPath:
         if len(self.vertices) < 2:
             raise GeometryError("a path needs at least 2 vertices")
 
-    @property
+    @cached_property
     def length_m(self) -> float:
-        """Total geometric path length (m)."""
+        """Total geometric path length (m), summed once per path."""
         total = 0.0
         for a, b in zip(self.vertices, self.vertices[1:]):
             total += a.distance_to(b)
@@ -314,24 +319,24 @@ class RayTracer:
         the path must actually *bend around* the blocking geometry (bend
         angle > 0).
         """
+        ends = [edge for wall in walls.walls for edge in (wall.a, wall.b)]
+        # Only *free* edges diffract: an endpoint that touches another
+        # wall (``Segment.contains_point``) is a junction/corner with no
+        # aperture.
+        dx, dy = walls.offsets_from([e.x for e in ends], [e.y for e in ends])
+        other = walls.identity[None, :] != np.repeat(walls.identity, 2)[:, None]
+        junction = (distances_within(dx, dy, _JUNCTION_TOL, other) <= _JUNCTION_TOL).any(axis=1)
         edges: List[Point] = []
         seen: set = set()
-        for wall in self.floorplan.walls:
-            for edge in (wall.a, wall.b):
-                key = (round(edge.x, 6), round(edge.y, 6))
-                if key in seen:
-                    continue
-                seen.add(key)
-                if edge.distance_to(tx) < 1e-6 or edge.distance_to(rx) < 1e-6:
-                    continue
-                # Only *free* edges diffract: an endpoint that touches
-                # another wall is a junction/corner with no aperture.
-                junction = any(
-                    other is not wall and other.contains_point(edge)
-                    for other in self.floorplan.walls
-                )
-                if not junction:
-                    edges.append(edge)
+        for edge, joined in zip(ends, junction.tolist()):
+            key = (round(edge.x, 6), round(edge.y, 6))
+            if key in seen:
+                continue
+            seen.add(key)
+            if edge.distance_to(tx) < 1e-6 or edge.distance_to(rx) < 1e-6:
+                continue
+            if not joined:
+                edges.append(edge)
         if not edges:
             return []
         ex, ey = [e.x for e in edges], [e.y for e in edges]

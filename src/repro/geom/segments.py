@@ -171,6 +171,12 @@ def rectangle_walls(
 WallIndex = Union[np.ndarray, slice]
 
 
+def _clamp_unit(t: np.ndarray) -> np.ndarray:
+    """``max(0.0, min(1.0, t))`` elementwise, keeping its choice at ties and -0.0."""
+    t = np.where(t < 1.0, t, 1.0)
+    return np.where(t > 0.0, t, 0.0)
+
+
 def distances_within(
     dx: np.ndarray, dy: np.ndarray, limit: float, candidates: np.ndarray
 ) -> np.ndarray:
@@ -193,8 +199,9 @@ def distances_within(
 class WallArrays:
     """A wall list as coordinate columns, for predicates over many walls.
 
-    :meth:`mirror` and :meth:`intersect` repeat :meth:`Segment.mirror`
-    and :meth:`Segment.intersect` elementwise, operation for operation
+    :meth:`mirror`, :meth:`intersect` and :meth:`offsets_from` repeat
+    :meth:`Segment.mirror`, :meth:`Segment.intersect` and
+    :meth:`Segment.distance_to_point` elementwise, operation for operation
     and in the same order, so every float they return equals the scalar
     result bit for bit: numpy applies the same IEEE-754 double operations
     and fuses none of them.  Wall directions come from
@@ -258,10 +265,24 @@ class WallArrays:
                 & (-EPS <= u)
                 & (u <= 1.0 + EPS)
             )
-            # max(0.0, min(1.0, t)), keeping its choice at ties and -0.0.
-            t = np.where(t < 1.0, t, 1.0)
-            t = np.where(t > 0.0, t, 0.0)
+            t = _clamp_unit(t)
             return hit, ax + t * rx, ay + t * ry
+
+    def offsets_from(
+        self, px: Sequence[float], py: Sequence[float]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(points, walls)`` offsets from points ``(px, py)`` to each wall.
+
+        The offset runs from the point to its closest point on the wall:
+        :meth:`Segment.distance_to_point` is ``math.hypot`` of it, and
+        this repeats that method's arithmetic op for op.
+        """
+        px, py = (np.asarray(v, dtype=float)[:, None] for v in (px, py))
+        t = ((px - self.ax) * self.rx + (py - self.ay) * self.ry) / (
+            self.rx * self.rx + self.ry * self.ry
+        )
+        t = _clamp_unit(t)
+        return self.ax + t * self.rx - px, self.ay + t * self.ry - py
 
     def crossings(
         self,

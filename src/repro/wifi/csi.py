@@ -36,8 +36,8 @@ def validate_csi_matrix(csi: np.ndarray) -> np.ndarray:
             f"CSI needs >= 2 antennas and >= 2 subcarriers, got shape {arr.shape}"
         )
     arr = arr.astype(np.complex128, copy=False)
-    # Finiteness check inspects both halves; nothing is discarded.
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):  # repro: noqa REP012
+    # A complex entry is finite exactly when both its parts are.
+    if not np.isfinite(arr).all():
         raise CsiShapeError("CSI contains non-finite values")
     return arr
 

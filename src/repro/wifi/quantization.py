@@ -51,17 +51,20 @@ class QuantizationModel:
         real/imaginary component; the returned array is in the original
         units (quantize-then-rescale), so callers can use it as a drop-in
         noisy version of the input.  An all-zero input is returned as-is.
+        This is :meth:`quantize_stack` for a stack of one packet.
         """
         arr = np.asarray(csi, dtype=np.complex128)
-        # Quantization is defined component-wise on re/im; both halves are
-        # processed symmetrically, nothing is discarded.
-        peak = max(np.abs(arr.real).max(initial=0.0), np.abs(arr.imag).max(initial=0.0))  # repro: noqa REP012
-        scale = self.max_level * self.headroom / peak if peak > 0 else np.inf
-        if not np.isfinite(scale):  # zero or denormal input: nothing to quantize
-            return arr.copy()
-        q_real = np.clip(np.round(arr.real * scale), -self.max_level - 1, self.max_level)  # repro: noqa REP012
-        q_imag = np.clip(np.round(arr.imag * scale), -self.max_level - 1, self.max_level)
-        return (q_real + 1j * q_imag) / scale
+        return self.quantize_stack(arr[None])[0]
+
+    def quantize_stack(self, stack: np.ndarray) -> np.ndarray:
+        """:meth:`quantize` applied to each packet of ``stack`` (leading axis).
+
+        Each packet gets its own scale, computed exactly as for that
+        packet alone, so a packet's result does not depend on its stack.
+        """
+        stack = np.asarray(stack, dtype=np.complex128)
+        ints, scale, scaled = self._levels(stack)
+        return np.where(scaled, ints / scale, stack)
 
     def quantize_to_ints(self, csi: np.ndarray) -> "tuple[np.ndarray, float]":
         """Quantize to integer components, returning ``(ints, scale)``.
@@ -72,15 +75,34 @@ class QuantizationModel:
         writer uses.
         """
         arr = np.asarray(csi, dtype=np.complex128)
+        ints, scale, scaled = self._levels(arr[None])
+        if not scaled.item():
+            return arr.copy(), 1.0
+        return ints[0], scale.flat[0]
+
+    def _levels(
+        self, stack: np.ndarray
+    ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+        """Per packet of ``stack``: integer components, scale, and whether scaled.
+
+        Returns ``(ints, scale, scaled)``, the last two shaped to broadcast
+        against ``stack``.  A packet whose scale is not finite (zero or
+        denormal input) is not scaled: its scale reads 1 and its ``ints``
+        are meaningless.
+        """
+        packets = (len(stack),) + (1,) * (stack.ndim - 1)
         # Quantization is defined component-wise on re/im; both halves are
         # processed symmetrically, nothing is discarded.
-        peak = max(np.abs(arr.real).max(initial=0.0), np.abs(arr.imag).max(initial=0.0))  # repro: noqa REP012
-        scale = self.max_level * self.headroom / peak if peak > 0 else np.inf
-        if not np.isfinite(scale):
-            return arr.copy(), 1.0
-        q_real = np.clip(np.round(arr.real * scale), -self.max_level - 1, self.max_level)  # repro: noqa REP012
-        q_imag = np.clip(np.round(arr.imag * scale), -self.max_level - 1, self.max_level)
-        return q_real + 1j * q_imag, scale
+        parts = np.stack([stack.real, stack.imag])  # repro: noqa REP012
+        peaks = np.abs(parts).reshape(2, len(stack), -1).max(axis=2, initial=0.0)
+        # The builtin max(re_peak, im_peak): a NaN imaginary peak is skipped.
+        peak = np.where(peaks[1] > peaks[0], peaks[1], peaks[0])
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            scale = self.max_level * self.headroom / peak
+        scaled = np.isfinite(scale).reshape(packets)
+        scale = np.where(scaled, scale.reshape(packets), 1.0)
+        q_real, q_imag = np.clip(np.round(parts * scale), -self.max_level - 1, self.max_level)
+        return q_real + 1j * q_imag, scale, scaled
 
     def quantization_snr_db(self, csi: np.ndarray) -> float:
         """Empirical SNR (dB) of the quantized representation of ``csi``."""

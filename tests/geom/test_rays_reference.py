@@ -55,6 +55,19 @@ def test_wallless_floorplan_matches_reference():
         assert_same_paths(tracer.trace((0, 0), (2, 3)), reference_trace(tracer, (0, 0), (2, 3)))
 
 
+@pytest.mark.parametrize("gap", [0.0, 5e-7, 1e-6, 2e-6, 1e-4])
+def test_junction_tolerance_matches_reference(gap):
+    """A blocking wall's end ``gap`` below another wall: a junction up to 1 um."""
+    plan = Floorplan()
+    plan.add_wall((0.0, -1.0), (0.0, 1.0))
+    plan.add_wall((-0.5, 1.0 + gap), (0.5, 1.0 + gap))
+    tracer = RayTracer(plan, max_reflection_order=0, include_diffraction=True)
+    paths = tracer.trace((-1.0, 0.2), (1.0, 0.2))
+    assert_same_paths(paths, reference_trace(tracer, (-1.0, 0.2), (1.0, 0.2)))
+    free = any(p.vertices[1] == Point(0.0, 1.0) for p in paths if p.kind == "diffraction")
+    assert free == (gap > 1e-6)
+
+
 # Coordinates on a half-metre lattice make collinear, touching and
 # crossing walls common; decimetres are not exact binary fractions, so
 # their hits land just off wall ends; free floats keep the general case.

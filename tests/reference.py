@@ -22,6 +22,12 @@ Scalar image-method ray tracing (:func:`reference_trace`): the tracer
 before it ran as arrays over all walls -- one wall sequence at a time,
 one ``Point`` per image and hit, one ``Segment.crosses`` call per
 (leg, wall) pair (:func:`reference_walls_crossed`).
+
+Per-packet trace synthesis (:func:`reference_generate_trace`): the
+simulator's loop before it built a trace as one ``(K, M, N)`` stack --
+per packet, a faded profile and its CSI summed path by path, the
+impairment state, STO ramp, CFO rotation, AWGN drawn with
+``rng.normal``, the 8-bit scale-and-round, and the RSSI jitter.
 """
 
 from __future__ import annotations
@@ -30,6 +36,11 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.channel.chains import ChainOffsets
+from repro.channel.csi_model import ChannelSimulator
+from repro.channel.impairments import ImpairmentState
+from repro.channel.multipath import MultipathProfile
+from repro.channel.paths import PropagationPath
 from repro.constants import SPEED_OF_LIGHT
 from repro.core.esprit import EspritEstimator, _selection_indices
 from repro.core.estimator import JointEstimator, PathEstimate
@@ -50,7 +61,10 @@ from repro.geom.rays import (
 )
 from repro.geom.segments import Segment
 from repro.runtime.cache import default_steering_cache
-from repro.wifi.csi import validate_csi_matrix
+from repro.wifi.arrays import UniformLinearArray
+from repro.wifi.csi import CsiFrame, CsiTrace, validate_csi_matrix
+from repro.wifi.ofdm import OfdmGrid
+from repro.wifi.quantization import QuantizationModel
 
 
 def reference_sanitize_csi(csi: np.ndarray) -> np.ndarray:
@@ -484,3 +498,110 @@ def _reference_diffraction(plan: Floorplan, tx: Point, rx: Point) -> List[Traced
             )
     paths.sort(key=lambda p: p.diffraction_angle_rad)
     return paths[:4]
+
+
+def _reference_synthesize_csi(
+    paths: Sequence[PropagationPath], array: UniformLinearArray, grid: OfdmGrid
+) -> np.ndarray:
+    """One packet's clean CSI, summed path by path."""
+    freqs = grid.subcarrier_freqs_hz()
+    f_c = grid.carrier_freq_hz
+    m = np.arange(array.num_antennas)
+    csi = np.zeros((array.num_antennas, grid.num_subcarriers), dtype=np.complex128)
+    for path in paths:
+        sin_theta = np.sin(np.deg2rad(path.aoa_deg))
+        tof_phase = np.exp(-2j * np.pi * (freqs - f_c) * path.tof_s)
+        aoa_phase = np.exp(
+            -2j * np.pi * np.outer(m, freqs) * array.spacing_m * sin_theta / SPEED_OF_LIGHT
+        )
+        csi += path.gain * aoa_phase * tof_phase[None, :]
+    return csi
+
+
+def _reference_faded(
+    sim: ChannelSimulator, profile: MultipathProfile, rng: np.random.Generator
+) -> List[PropagationPath]:
+    """One packet's fading realization of a multipath profile."""
+    paths = []
+    for path in profile:
+        amp = 10.0 ** (rng.normal(0.0, sim.fading_std_db) / 20.0)
+        phase = rng.normal(0.0, sim.fading_phase_std_rad) if sim.fading_phase_std_rad > 0 else 0.0
+        paths.append(
+            PropagationPath(
+                aoa_deg=path.aoa_deg,
+                tof_s=path.tof_s,
+                gain=path.gain * amp * np.exp(1j * phase),
+                kind=path.kind,
+                length_m=path.length_m,
+            )
+        )
+    return paths
+
+
+def _reference_quantize(quantizer: QuantizationModel, csi: np.ndarray) -> np.ndarray:
+    """One packet's 8-bit scale-and-round, dequantized."""
+    peak = max(np.abs(csi.real).max(initial=0.0), np.abs(csi.imag).max(initial=0.0))
+    scale = quantizer.max_level * quantizer.headroom / peak if peak > 0 else np.inf
+    if not np.isfinite(scale):
+        return csi.copy()
+    top = quantizer.max_level
+    q_real = np.clip(np.round(csi.real * scale), -top - 1, top)
+    q_imag = np.clip(np.round(csi.imag * scale), -top - 1, top)
+    return (q_real + 1j * q_imag) / scale
+
+
+def _reference_impair(
+    sim: ChannelSimulator, csi: np.ndarray, state: ImpairmentState, rng: np.random.Generator
+) -> np.ndarray:
+    """One packet's STO ramp, CFO rotation, AWGN and quantization."""
+    n = np.arange(csi.shape[-1])
+    sto_ramp = np.exp(-2j * np.pi * sim.grid.subcarrier_spacing_hz * n * state.sto_s)
+    out = csi * sto_ramp[None, :]
+    if state.cfo_phase_rad:
+        out = out * np.exp(1j * state.cfo_phase_rad)
+    if np.isfinite(state.snr_db):
+        signal_power = float(np.mean(np.abs(out) ** 2))
+        if signal_power > 0:
+            noise_power = signal_power * 10.0 ** (-state.snr_db / 10.0)
+            noise_std = np.sqrt(noise_power / 2.0)
+            noise = rng.normal(0.0, noise_std, out.shape) + 1j * rng.normal(
+                0.0, noise_std, out.shape
+            )
+            out = out + noise
+    quantizer = sim.impairments.quantizer
+    return out if quantizer is None else _reference_quantize(quantizer, out)
+
+
+def reference_generate_trace(
+    sim: ChannelSimulator,
+    array: UniformLinearArray,
+    num_packets: int,
+    rng: np.random.Generator,
+    profile: MultipathProfile,
+    packet_interval_s: float = 0.1,
+    source: str = "target",
+    chain: Optional[ChainOffsets] = None,
+) -> CsiTrace:
+    """``sim.generate_trace`` one packet at a time, every draw in order."""
+    fading = sim.fading_std_db > 0 or sim.fading_phase_std_rad > 0
+    clean = _reference_synthesize_csi(list(profile), array, sim.grid)
+    base_rssi = profile.rssi_dbm(sim.tx_power_dbm)
+    frames = []
+    for i in range(num_packets):
+        if fading:
+            clean = _reference_synthesize_csi(_reference_faded(sim, profile, rng), array, sim.grid)
+        state = sim.impairments.draw_state(i, rng)
+        csi = clean if chain is None else chain.apply(clean)
+        csi = _reference_impair(sim, csi, state, rng)
+        rssi = base_rssi
+        if sim.rssi_jitter_db > 0:
+            rssi += rng.normal(0.0, sim.rssi_jitter_db)
+        frames.append(
+            CsiFrame(
+                csi=csi,
+                rssi_dbm=float(np.round(rssi)),
+                timestamp_s=i * packet_interval_s,
+                source=source,
+            )
+        )
+    return CsiTrace(frames)

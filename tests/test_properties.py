@@ -10,13 +10,16 @@ inputs rather than hand-picked examples:
 * MUSIC: noise subspace orthogonal to true steering vectors; the
   signal/noise complement identity.
 * Quantization: bounded error, scale invariance.
+* Trace synthesis: a shorter trace is a prefix of a longer one.
 * Geometry: mirroring is an involution; wrap_deg stays in range.
 * CDF: monotone, quantile within sample range.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.esprit import EspritEstimator
@@ -29,6 +32,7 @@ from repro.errors import EstimationError
 from repro.eval.metrics import Cdf
 from repro.geom.points import Point, wrap_deg
 from repro.geom.segments import Segment
+from repro.testbed.layout import small_testbed
 from repro.wifi.quantization import QuantizationModel
 
 MODEL = SteeringModel(3, 30, 0.029, 5.19e9, 1.25e6)
@@ -252,6 +256,34 @@ class TestQuantizationProperties:
             step = peak / (q.max_level * q.headroom)
             assert np.abs((out - arr).real).max() <= step / 2 + 1e-9
             assert np.abs((out - arr).imag).max() <= step / 2 + 1e-9
+
+
+class TestTraceSynthesisProperties:
+    @pytest.fixture(scope="class")
+    def link(self):
+        testbed = small_testbed()
+        ap = testbed.aps[1]
+        sim = testbed.simulator()
+        return sim, ap, sim.profile(testbed.targets[2].position, ap)
+
+    @given(
+        num_packets=st.integers(min_value=1, max_value=30),
+        data=st.data(),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        fading_db=st.sampled_from([0.0, 1.5]),
+    )
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_trace_prefix(self, link, num_packets, data, seed, fading_db):
+        """The first k frames of a K-packet trace are the k-packet trace."""
+        sim, ap, profile = link
+        sim = replace(sim, fading_std_db=fading_db)
+        prefix = data.draw(st.integers(min_value=1, max_value=num_packets))
+        full = sim.generate_trace(None, ap, num_packets, rng=np.random.default_rng(seed), profile=profile)
+        short = sim.generate_trace(None, ap, prefix, rng=np.random.default_rng(seed), profile=profile)
+        assert len(short) == prefix
+        for got, want in zip(full, short):
+            assert got.csi.tobytes() == want.csi.tobytes()
+            assert (got.rssi_dbm, got.timestamp_s) == (want.rssi_dbm, want.timestamp_s)
 
 
 class TestGeometryProperties:

@@ -45,6 +45,22 @@ class TestValidate:
         with pytest.raises(CsiShapeError):
             validate_csi_matrix(csi)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_real_part_alone(self, bad):
+        csi = make_csi()
+        csi[2, 7] = complex(bad, 0.5)
+        assert np.isfinite(csi.imag).all()
+        with pytest.raises(CsiShapeError):
+            validate_csi_matrix(csi)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_imaginary_part_alone(self, bad):
+        csi = make_csi()
+        csi[0, 29] = complex(0.5, bad)
+        assert np.isfinite(csi.real).all()
+        with pytest.raises(CsiShapeError):
+            validate_csi_matrix(csi)
+
 
 class TestCsiFrame:
     def test_shape_properties(self):
