@@ -11,7 +11,8 @@ Fig. 5(c) does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -33,7 +34,8 @@ class KMeans:
     Attributes
     ----------
     num_clusters:
-        Target k; silently reduced if there are fewer distinct points.
+        Target k (at least 1); silently reduced if there are fewer
+        distinct points.
     max_iter:
         Lloyd iteration cap.
     tol:
@@ -44,55 +46,93 @@ class KMeans:
     max_iter: int = 100
     tol: float = 1e-6
 
+    def __post_init__(self) -> None:
+        _require_positive("num_clusters", self.num_clusters)
+
     def fit(
         self, points: np.ndarray, rng: Optional[np.random.Generator] = None
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Cluster ``points`` (n, d); returns (labels (n,), centers (k, d))."""
-        x = _validate_points(points)
         rng = np.random.default_rng(0) if rng is None else rng
-        k = min(self.num_clusters, len(np.unique(x, axis=0)))
+        return self._fit(_validate_points(points), rng)
+
+    def _fit(self, x: np.ndarray, rng: np.random.Generator) -> Tuple[np.ndarray, np.ndarray]:
+        """Lloyd iterations on validated points; an emptied cluster keeps its centre."""
+        k = min(self.num_clusters, _distinct_rows(x))
         centers = _kmeanspp_init(x, k, rng)
         labels = np.zeros(len(x), dtype=int)
         for _ in range(self.max_iter):
-            dists = _sq_distances(x, centers)
-            labels = np.argmin(dists, axis=1)
-            new_centers = centers.copy()
-            for j in range(k):
-                members = x[labels == j]
-                if len(members):
-                    new_centers[j] = members.mean(axis=0)
-            shift = float(np.max(np.linalg.norm(new_centers - centers, axis=1)))
+            labels = _sq_distances(x, centers).argmin(axis=1)
+            new_centers = _label_means(x, labels, k, empty=centers)
+            delta = new_centers - centers
+            shift = math.sqrt(np.maximum.reduce(np.add.reduce(delta * delta, axis=1)))
             centers = new_centers
             if shift <= self.tol:
                 break
         return labels, centers
 
 
+def _require_positive(name: str, count: int) -> None:
+    if count < 1:
+        raise ClusteringError(f"{name} must be >= 1, got {count}")
+
+
 def _validate_points(points: np.ndarray) -> np.ndarray:
     x = np.asarray(points, dtype=float)
     if x.ndim != 2 or x.shape[0] < 1:
         raise ClusteringError(f"points must be a non-empty (n, d) array, got {x.shape}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ClusteringError("points contain non-finite values")
     return x
 
 
+def _distinct_rows(x: np.ndarray) -> int:
+    """``len(np.unique(x, axis=0))``: rows equal under ``==`` count once."""
+    ordered = x[np.lexsort(x.T)]
+    return 1 + int(np.count_nonzero((ordered[1:] != ordered[:-1]).any(axis=1)))
+
+
+def _label_means(x: np.ndarray, labels: np.ndarray, k: int, empty: np.ndarray) -> np.ndarray:
+    """``x[labels == j].mean(axis=0)`` for each label j < k; row j of ``empty`` if j has none.
+
+    With two or more columns numpy sums the member rows in order onto
+    +0.0, as ``np.bincount`` does, so one ``np.bincount`` per column gives
+    every label's sums.  A single column is contiguous and numpy sums it
+    pairwise, so it is reduced label by label instead.
+    """
+    if x.shape[1] == 1:
+        sums = np.array([np.add.reduce(x[labels == j], axis=0) for j in range(k)])
+    else:
+        sums = np.empty((k, x.shape[1]))
+        for column in range(x.shape[1]):
+            sums[:, column] = np.bincount(labels, x[:, column], k)
+    counts = np.bincount(labels, minlength=k)[:, None]
+    return np.divide(sums, counts, out=empty.copy(), where=counts > 0)
+
+
 def _sq_distances(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
     diff = x[:, None, :] - centers[None, :, :]
-    return np.sum(diff**2, axis=2)
+    return np.add.reduce(diff * diff, axis=2)
 
 
 def _kmeanspp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    centers = [x[rng.integers(len(x))]]
-    while len(centers) < k:
-        d2 = np.min(_sq_distances(x, np.asarray(centers)), axis=1)
-        total = d2.sum()
+    """k-means++ seeds, one ``rng.integers`` then one draw per further seed.
+
+    ``d2`` is the running minimum over the seeds so far; a minimum is
+    exact, so it equals the minimum over the full distance matrix.
+    """
+    n = len(x)
+    centers = np.empty((k, x.shape[1]))
+    centers[0] = x[rng.integers(n)]
+    d2 = np.full(n, np.inf)
+    for j in range(1, k):
+        d2 = np.minimum(d2, _sq_distances(x, centers[j - 1 : j])[:, 0])
+        total = np.add.reduce(d2)
         if total <= 0:
-            centers.append(x[rng.integers(len(x))])
-            continue
-        probs = d2 / total
-        centers.append(x[rng.choice(len(x), p=probs)])
-    return np.asarray(centers, dtype=float)
+            centers[j] = x[rng.integers(n)]
+        else:
+            centers[j] = x[rng.choice(n, p=d2 / total)]
+    return centers
 
 
 # ----------------------------------------------------------------------
@@ -105,7 +145,8 @@ class GaussianMixture:
     Attributes
     ----------
     num_components:
-        Mixture size (reduced automatically for tiny datasets).
+        Mixture size (at least 1; reduced automatically for tiny
+        datasets).
     max_iter:
         EM iteration cap.
     tol:
@@ -119,6 +160,9 @@ class GaussianMixture:
     tol: float = 1e-7
     min_var: float = 1e-6
 
+    def __post_init__(self) -> None:
+        _require_positive("num_components", self.num_components)
+
     def fit(
         self, points: np.ndarray, rng: Optional[np.random.Generator] = None
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -129,57 +173,48 @@ class GaussianMixture:
         """
         x = _validate_points(points)
         rng = np.random.default_rng(0) if rng is None else rng
-        n, d = x.shape
+        n = len(x)
         # Initialize from k-means.
-        labels, centers = KMeans(num_clusters=self.num_components).fit(x, rng)
-        k = len(centers)
-        means = centers.copy()
-        variances = np.empty((k, d))
-        weights = np.empty(k)
-        for j in range(k):
-            members = x[labels == j]
-            weights[j] = max(len(members), 1) / n
-            if len(members) > 1:
-                variances[j] = np.maximum(members.var(axis=0), self.min_var)
-            else:
-                variances[j] = np.maximum(x.var(axis=0), self.min_var)
-        weights /= weights.sum()
+        labels, means = KMeans(num_clusters=self.num_components)._fit(x, rng)
+        k = len(means)
+        counts = np.bincount(labels, minlength=k)
+        weights = np.maximum(counts, 1) / n
+        weights /= np.add.reduce(weights)
+        # Each member set's ``.var(axis=0)``: the mean of the squared
+        # deviations from the member mean; the whole set's for singletons.
+        dev = x - _label_means(x, labels, k, empty=means)[labels]
+        variances = _label_means(dev * dev, labels, k, empty=means)
+        lonely = counts <= 1
+        if lonely.any():
+            variances[lonely] = x.var(axis=0)
+        variances = np.maximum(variances, self.min_var)
 
+        points3 = x[:, None, :]
+        # The E-step's squared distances are the previous M-step's.
+        diff2 = np.square(points3 - means[None, :, :])
         prev_ll = -np.inf
         resp = np.zeros((n, k))
         for _ in range(self.max_iter):
             # E step: log responsibilities under diagonal Gaussians.
             log_prob = -0.5 * (
-                np.sum(
-                    (x[:, None, :] - means[None, :, :]) ** 2 / variances[None, :, :],
-                    axis=2,
-                )
-                + np.sum(np.log(2.0 * np.pi * variances), axis=1)[None, :]
+                np.add.reduce(diff2 / variances[None, :, :], axis=2)
+                + np.add.reduce(np.log(2.0 * np.pi * variances), axis=1)[None, :]
             )
             log_prob += np.log(np.maximum(weights, 1e-300))[None, :]
-            log_norm = _logsumexp(log_prob, axis=1)
-            resp = np.exp(log_prob - log_norm[:, None])
-            ll = float(np.mean(log_norm))
+            peak = np.maximum.reduce(log_prob, axis=1)[:, None]
+            log_norm = peak + np.log(np.add.reduce(np.exp(log_prob - peak), axis=1))[:, None]
+            resp = np.exp(log_prob - log_norm)
+            ll = float(np.add.reduce(log_norm[:, 0]) / n)
             # M step.
-            nk = resp.sum(axis=0) + 1e-12
-            weights = nk / n
-            means = (resp.T @ x) / nk[:, None]
-            diff2 = (x[:, None, :] - means[None, :, :]) ** 2
-            variances = np.maximum(
-                np.einsum("nk,nkd->kd", resp, diff2) / nk[:, None], self.min_var
-            )
+            nk = (np.add.reduce(resp, axis=0) + 1e-12)[:, None]
+            weights = nk[:, 0] / n
+            means = (resp.T @ x) / nk
+            diff2 = np.square(points3 - means[None, :, :])
+            variances = np.maximum(np.einsum("nk,nkd->kd", resp, diff2) / nk, self.min_var)
             if abs(ll - prev_ll) < self.tol:
                 break
             prev_ll = ll
-        labels = np.argmax(resp, axis=1)
-        return labels, means, variances
-
-
-def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    peak = np.max(a, axis=axis, keepdims=True)
-    return (peak + np.log(np.sum(np.exp(a - peak), axis=axis, keepdims=True))).squeeze(
-        axis
-    )
+        return resp.argmax(axis=1), means, variances
 
 
 # ----------------------------------------------------------------------
@@ -214,13 +249,9 @@ class PathCluster:
 
 def _normalize_columns(x: np.ndarray) -> np.ndarray:
     """Scale each column to [0, 1] (constant columns map to 0)."""
-    out = np.zeros_like(x)
-    for j in range(x.shape[1]):
-        col = x[:, j]
-        span = col.max() - col.min()
-        if span > 0:
-            out[:, j] = (col - col.min()) / span
-    return out
+    low = np.minimum.reduce(x, axis=0)
+    span = np.maximum.reduce(x, axis=0) - low
+    return np.divide(x - low, span, out=np.zeros_like(x), where=span > 0)
 
 
 def cluster_estimates(
@@ -237,11 +268,13 @@ def cluster_estimates(
     the paper's Gaussian clustering) or ``"kmeans"``.
 
     Returns clusters with at least ``min_cluster_size`` members, sorted by
-    descending size.  Raises :class:`ClusteringError` for an empty input.
+    descending size.  Raises :class:`ClusteringError` for an empty input
+    or a ``num_clusters`` below 1.
     """
     points_list = list(estimates)
     if not points_list:
         raise ClusteringError("no path estimates to cluster")
+    _require_positive("num_clusters", num_clusters)
     raw = np.array([[e.aoa_deg, e.tof_s] for e in points_list], dtype=float)
     powers = np.array([e.power for e in points_list], dtype=float)
     normalized = _normalize_columns(raw)
@@ -255,22 +288,28 @@ def cluster_estimates(
     else:
         raise ClusteringError(f"unknown clustering method {method!r}")
 
+    # A stable sort keeps each label's members in index order.  The
+    # statistics run on contiguous gathered copies, whose pairwise sums
+    # depend only on the values.
+    order = np.argsort(labels, kind="stable")
+    aoas, tofs, member_powers = raw[order, 0], raw[order, 1], powers[order]
+    members = order.tolist()
     clusters: List[PathCluster] = []
-    for label in np.unique(labels):
-        idx = np.nonzero(labels == label)[0]
-        if len(idx) < min_cluster_size:
+    stop = 0
+    for count in np.bincount(labels).tolist():
+        start, stop = stop, stop + count
+        if count == 0 or count < min_cluster_size:
             continue
-        aoas = raw[idx, 0]
-        tofs = raw[idx, 1]
+        span = slice(start, stop)
         clusters.append(
             PathCluster(
-                mean_aoa_deg=float(aoas.mean()),
-                mean_tof_s=float(tofs.mean()),
-                var_aoa_deg2=float(aoas.var()),
-                var_tof_s2=float(tofs.var()),
-                count=int(len(idx)),
-                mean_power=float(powers[idx].mean()),
-                member_indices=tuple(int(i) for i in idx),
+                mean_aoa_deg=float(aoas[span].mean()),
+                mean_tof_s=float(tofs[span].mean()),
+                var_aoa_deg2=float(aoas[span].var()),
+                var_tof_s2=float(tofs[span].var()),
+                count=count,
+                mean_power=float(member_powers[span].mean()),
+                member_indices=tuple(members[span]),
             )
         )
     if not clusters:

@@ -113,6 +113,8 @@ class SpotFiConfig:
     def __post_init__(self) -> None:
         if self.packets_per_fix < 1:
             raise ConfigurationError("packets_per_fix must be >= 1")
+        if self.num_clusters < 1:
+            raise ConfigurationError(f"num_clusters must be >= 1, got {self.num_clusters}")
         for name, allowed in (
             ("estimation", ("music", "esprit")),
             ("clustering_method", ("gmm", "kmeans")),

@@ -143,12 +143,18 @@ class Segment:
 
         1.0 is normal incidence, 0.0 is grazing.  Used by the material
         model: reflection is strongest at grazing incidence.
+
+        Plain-float arithmetic, operation for operation the ``Point`` form
+        ``abs((v / |v|).dot(self.normal))``.
         """
-        v = as_point(hit_point) - as_point(incoming_from)
-        n = v.norm()
+        hit, start = as_point(hit_point), as_point(incoming_from)
+        vx, vy = hit.x - start.x, hit.y - start.y
+        n = math.hypot(vx, vy)
         if n < EPS:
             raise GeometryError("incidence ray has zero length")
-        return abs((v / n).dot(self.normal))
+        dx, dy = self.b.x - self.a.x, self.b.y - self.a.y
+        length = math.hypot(dx, dy)
+        return abs(vx / n * -(dy / length) + vy / n * (dx / length))
 
 
 def rectangle_walls(

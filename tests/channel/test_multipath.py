@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from reference import reference_trace
+from reference import reference_incidence_cos, reference_trace
 
 from repro.channel.multipath import (
     MultipathProfile,
@@ -16,6 +16,7 @@ from repro.constants import SPEED_OF_LIGHT
 from repro.errors import ConfigurationError
 from repro.geom.floorplan import empty_room
 from repro.geom.rays import RayTracer
+from repro.geom.segments import Segment
 from repro.testbed.layout import office_testbed
 from repro.wifi.arrays import UniformLinearArray
 
@@ -111,6 +112,16 @@ class TestReferenceTracer:
             return [(p.aoa_deg, p.tof_s, p.gain, p.kind, p.length_m) for p in profile.paths]
 
         assert fields(actual) == fields(expected)
+
+    def test_office_gains_match_reference_incidence(self, monkeypatch):
+        """Plain-float incidence angles change no path gain on any office link."""
+        testbed = office_testbed()
+        links = [(t.position, ap) for t in testbed.targets for ap in testbed.aps]
+        actual = [extract_profile(testbed.floorplan, t, ap, WAVELENGTH) for t, ap in links]
+        monkeypatch.setattr(Segment, "incidence_cos", reference_incidence_cos)
+        expected = [extract_profile(testbed.floorplan, t, ap, WAVELENGTH) for t, ap in links]
+        assert sum(len(p.paths) for p in actual) > 2000
+        assert [p.paths for p in actual] == [p.paths for p in expected]
 
 
 class TestProfileContainer:

@@ -57,6 +57,11 @@ class TestKMeans:
         with pytest.raises(ClusteringError):
             KMeans().fit(np.array([[np.nan, 0.0]]), rng)
 
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_cluster_count_below_one_rejected(self, k):
+        with pytest.raises(ClusteringError, match="num_clusters must be >= 1"):
+            KMeans(num_clusters=k)
+
     def test_deterministic_given_rng(self, two_blobs):
         points, _ = two_blobs
         l1, c1 = KMeans(num_clusters=2).fit(points, np.random.default_rng(5))
@@ -87,6 +92,10 @@ class TestGaussianMixture:
         labels, means, _ = GaussianMixture(num_components=2).fit(points, rng)
         counts = np.bincount(labels)
         assert sorted(counts.tolist()) == [10, 100]
+
+    def test_component_count_below_one_rejected(self):
+        with pytest.raises(ClusteringError, match="num_components must be >= 1"):
+            GaussianMixture(num_components=0)
 
 
 class TestClusterEstimates:
@@ -138,6 +147,14 @@ class TestClusterEstimates:
     def test_empty_rejected(self, rng):
         with pytest.raises(ClusteringError):
             cluster_estimates([], rng=rng)
+
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_cluster_count_below_one_rejected(self, rng, k):
+        estimates = self._estimates(rng, [(0.0, 0.0)])
+        state = rng.bit_generator.state
+        with pytest.raises(ClusteringError, match="num_clusters must be >= 1"):
+            cluster_estimates(estimates, num_clusters=k, rng=rng)
+        assert rng.bit_generator.state == state
 
     def test_fewer_points_than_clusters(self, rng):
         estimates = [PathEstimate(10.0, 20e-9, 1.0), PathEstimate(-30.0, 90e-9, 1.0)]

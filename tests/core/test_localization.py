@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy import optimize
+from reference import reference_nelder_mead_locate, reference_objective
 
 from repro.channel.pathloss import LogDistancePathLoss
 from repro.core.indexcache import ap_grid_geometry, cell_centres
@@ -24,60 +24,6 @@ def make_aps():
         UniformLinearArray(3, position=(10.0, 0.5), normal_deg=90.0),
         UniformLinearArray(3, position=(10.0, 11.5), normal_deg=-90.0),
     ]
-
-
-def _reference_objective(localizer, candidates, obs, weights):
-    """Test oracle: Eq. 9 as the Nelder-Mead solver computed it.
-
-    The geometry of every (candidate, AP) pair in one broadcast and the
-    angle residuals wrapped with ``np.mod``; the solver's cached grid must
-    match it bit for bit, so its best cell is the one this picks.
-    """
-    positions = np.array([o.array.position for o in obs], dtype=float)
-    normals = np.array([o.array.normal_deg for o in obs], dtype=float)
-    delta = candidates[:, None, :] - positions[None, :, :]
-    dist = np.maximum(np.linalg.norm(delta, axis=2), 1e-3)
-    bearing = np.degrees(np.arctan2(delta[..., 1], delta[..., 0]))
-    pred_aoa = (bearing - normals[None, :] + 180.0) % 360.0 - 180.0
-    measured_aoa = np.array([o.aoa_deg for o in obs], dtype=float)
-    measured_rssi = np.array([o.rssi_dbm for o in obs], dtype=float)
-
-    aoa_diff = (pred_aoa - measured_aoa[None, :] + 180.0) % 360.0 - 180.0
-    if localizer.aoa_residual_cap_deg > 0:
-        cap = localizer.aoa_residual_cap_deg
-        aoa_diff = np.clip(aoa_diff, -cap, cap)
-    aoa_cost = np.sum(weights[None, :] * aoa_diff**2, axis=1) * localizer.aoa_weight
-
-    rssi_cost = np.zeros(len(candidates))
-    rssi_ok = np.isfinite(measured_rssi)
-    if localizer.rssi_weight > 0 and np.count_nonzero(rssi_ok) >= 2:
-        w = weights[rssi_ok][None, :]
-        p = measured_rssi[rssi_ok][None, :]
-        x = -10.0 * np.log10(dist[:, rssi_ok])
-        p0, gamma = Localizer._profile_path_loss(x, p, w)
-        resid = p - (p0[:, None] + gamma[:, None] * x)
-        rssi_cost = np.sum(w * resid**2, axis=1) * localizer.rssi_weight
-    return aoa_cost + rssi_cost
-
-
-def nelder_mead_locate(localizer, observations):
-    """Test oracle: the global grid, then Nelder-Mead, then a clip to the bounds.
-
-    Returns (clipped solution, its objective, unclipped Nelder-Mead point).
-    """
-    obs = [o for o in observations if np.isfinite(o.aoa_deg)]
-    weights = localizer._weights(obs)
-    cells = localizer._grid_points()
-    start = cells[int(np.argmin(_reference_objective(localizer, cells, obs, weights)))]
-    result = optimize.minimize(
-        lambda v: _reference_objective(localizer, v[None, :], obs, weights)[0],
-        start,
-        method="Nelder-Mead",
-        options={"xatol": 1e-3, "fatol": 1e-9, "maxiter": 400},
-    )
-    solution = np.clip(result.x, localizer.bounds[:2], localizer.bounds[2:])
-    objective = float(_reference_objective(localizer, solution[None, :], obs, weights)[0])
-    return solution, objective, result.x
 
 
 def perfect_observations(target, aps=None, likelihood=1.0):
@@ -404,7 +350,7 @@ class TestAgainstNelderMead:
         lo, hi = np.array(OFFICE.bounds[:2]), np.array(OFFICE.bounds[2:])
         for obs in sets:
             result = localizer.locate(obs)
-            solution, objective, unclipped = nelder_mead_locate(localizer, obs)
+            solution, objective, unclipped = reference_nelder_mead_locate(localizer, obs)
             if aoa_on and _near_an_ap(solution, obs):
                 # Within ~0.5 m of an AP its predicted AoA turns faster than
                 # the 5 cm first refinement step resolves; the oracle's
@@ -426,7 +372,7 @@ class TestAgainstNelderMead:
         ]
         obs = perfect_observations(target, aps=aps)
         localizer = Localizer(bounds=BOUNDS)
-        clipped, clipped_objective, unclipped = nelder_mead_locate(localizer, obs)
+        clipped, clipped_objective, unclipped = reference_nelder_mead_locate(localizer, obs)
         assert unclipped[1] > BOUNDS[3]  # the oracle's optimum is outside
         result = localizer.locate(obs)
         x0, y0, x1, y1 = BOUNDS
@@ -457,7 +403,7 @@ class TestCachedGrid:
             fix = localizer._fix(obs)
             cached = localizer._grid_values(fix)
             assert np.array_equal(cached, localizer._objective_batch(cells, fix))
-            reference = _reference_objective(localizer, cells, obs, localizer._weights(obs))
+            reference = reference_objective(localizer, cells, obs, localizer._weights(obs))
             assert np.array_equal(cached, reference)
 
     def test_angle_wrap_matches_np_mod(self):

@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import ndimage
-
-from reference import reference_find_peaks_2d
+from reference import reference_find_peaks_2d, reference_full_grid_peaks
 from repro import Intel5300
 from repro.core.estimator import JointEstimator
 from repro.core.music import EnergyMap, MusicConfig, subspace_energy, subspace_spectrum
@@ -25,75 +23,6 @@ from repro.testbed.scenarios import office_locations
 
 AOA_GRID = np.arange(-90.0, 91.0, 1.0)
 TOF_GRID = np.arange(0.0, 200e-9, 2.5e-9)
-
-
-def _reference_peaks(
-    spectrum,
-    aoa_grid_deg,
-    tof_grid_s,
-    max_peaks=8,
-    min_rel_height_db=20.0,
-    neighborhood=3,
-    exclude_border=True,
-):
-    """Test oracle: the full-grid peak search.
-
-    Runs a 3 x 3 (or ``neighborhood``) maximum and minimum filter over
-    every cell, then refines the kept peaks one at a time.  Equal powers
-    are ordered by row-major grid index.
-    """
-    spec = np.asarray(spectrum, dtype=float)
-    local_max = ndimage.maximum_filter(spec, size=neighborhood, mode="nearest")
-    is_peak = (spec >= local_max) & (spec > 0)
-    local_min = ndimage.minimum_filter(spec, size=neighborhood, mode="nearest")
-    is_peak &= spec > local_min * (1.0 + 1e-12)
-    if exclude_border:
-        is_peak[0, :] = is_peak[-1, :] = False
-        is_peak[:, 0] = is_peak[:, -1] = False
-
-    rows, cols = np.nonzero(is_peak)
-    if rows.size == 0:
-        return []
-    powers = spec[rows, cols]
-    order = np.argsort(-powers, kind="stable")
-    strongest = powers[order[0]]
-    floor = strongest * 10.0 ** (-min_rel_height_db / 10.0)
-
-    peaks = []
-    for idx in order:
-        if len(peaks) >= max_peaks:
-            break
-        power = float(powers[idx])
-        if power < floor:
-            break
-        i, j = int(rows[idx]), int(cols[idx])
-        aoa = _refine_axis(spec, aoa_grid_deg, i, j, axis=0)
-        tof = _refine_axis(spec, tof_grid_s, i, j, axis=1)
-        peaks.append(SpectrumPeak(aoa_deg=float(aoa), tof_s=float(tof), power=power))
-    return peaks
-
-
-def _refine_axis(spec, grid, i, j, axis):
-    n = spec.shape[axis]
-    k = i if axis == 0 else j
-    if k == 0 or k == n - 1:
-        return float(grid[k])
-    if axis == 0:
-        left, center, right = spec[i - 1, j], spec[i, j], spec[i + 1, j]
-    else:
-        left, center, right = spec[i, j - 1], spec[i, j], spec[i, j + 1]
-    logs = np.log(np.maximum([left, center, right], 1e-300))
-    offset = _parabolic_offset(logs[0], logs[1], logs[2])
-    step = grid[k + 1] - grid[k] if offset >= 0 else grid[k] - grid[k - 1]
-    return float(grid[k] + offset * step)
-
-
-def _parabolic_offset(left, center, right):
-    denom = left - 2.0 * center + right
-    if denom >= -1e-300:
-        return 0.0
-    offset = 0.5 * (left - right) / denom
-    return float(np.clip(offset, -0.5, 0.5))
 
 
 def gaussian_bump(center_i, center_j, height, width=3.0):
@@ -174,7 +103,7 @@ class TestFindPeaks:
             (AOA_GRID[i], TOF_GRID[j]) for i, j in [(20, 30), (20, 70), (100, 50), (140, 10)]
         ]
         assert find_peaks_2d(spec, AOA_GRID, TOF_GRID, max_peaks=2) == peaks[:2]
-        assert peaks == _reference_peaks(spec, AOA_GRID, TOF_GRID)
+        assert peaks == reference_full_grid_peaks(spec, AOA_GRID, TOF_GRID)
 
     @pytest.mark.parametrize("runner_up", [None, 10.0])
     def test_top_cell_beside_a_larger_border_cell(self, runner_up):
@@ -190,7 +119,7 @@ class TestFindPeaks:
         peaks = find_peaks_2d(spec, AOA_GRID, TOF_GRID)
         expected = [0.4] if runner_up is None else [runner_up, 0.4]
         assert [p.power for p in peaks] == expected
-        assert peaks == _reference_peaks(spec, AOA_GRID, TOF_GRID)
+        assert peaks == reference_full_grid_peaks(spec, AOA_GRID, TOF_GRID)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -246,7 +175,9 @@ def peak_cases(draw):
 @given(peak_cases())
 def test_matches_full_grid_reference(case):
     spec, aoa, tof, kwargs = case
-    assert find_peaks_2d(spec, aoa, tof, **kwargs) == _reference_peaks(spec, aoa, tof, **kwargs)
+    assert find_peaks_2d(spec, aoa, tof, **kwargs) == reference_full_grid_peaks(
+        spec, aoa, tof, **kwargs
+    )
 
 
 def test_office_spectra_match_full_grid_reference():
@@ -263,7 +194,7 @@ def test_office_spectra_match_full_grid_reference():
                 kwargs = {"max_peaks": 12, "min_rel_height_db": 20.0}
                 peaks = find_peaks_2d(spec, aoa, tof, **kwargs)
                 assert peaks
-                assert peaks == _reference_peaks(spec, aoa, tof, **kwargs)
+                assert peaks == reference_full_grid_peaks(spec, aoa, tof, **kwargs)
                 compared += 1
     assert compared == 12
 

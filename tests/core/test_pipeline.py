@@ -91,6 +91,8 @@ class TestConfigBehaviour:
             ({"grid_step_m": 0.0}, "grid_step_m must be > 0"),
             ({"grid_step_m": -0.25}, "grid_step_m must be > 0"),
             ({"grid_step_m": float("nan")}, "grid_step_m must be > 0"),
+            ({"num_clusters": 0}, "num_clusters must be >= 1"),
+            ({"num_clusters": -2}, "num_clusters must be >= 1"),
         ],
     )
     def test_bad_values_rejected_at_construction(self, kwargs, message):

@@ -1,7 +1,10 @@
 """Tests for wall segments and intersection predicates."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from reference import reference_incidence_cos
 from repro.errors import GeometryError
 from repro.geom.points import Point
 from repro.geom.segments import Segment, rectangle_walls
@@ -95,6 +98,16 @@ class TestIncidence:
     def test_zero_length_ray_rejected(self, horizontal):
         with pytest.raises(GeometryError):
             horizontal.incidence_cos(Point(5, 0), Point(5, 0))
+
+    @given(st.lists(st.floats(-50.0, 50.0), min_size=8, max_size=8))
+    def test_matches_point_arithmetic(self, coords):
+        ax, ay, bx, by, sx, sy, hx, hy = coords
+        try:
+            wall = Segment(Point(ax, ay), Point(bx, by))
+            want = reference_incidence_cos(wall, (sx, sy), Point(hx, hy))
+        except GeometryError:
+            return
+        assert wall.incidence_cos((sx, sy), Point(hx, hy)).hex() == want.hex()
 
 
 class TestRectangle:

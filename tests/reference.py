@@ -28,6 +28,25 @@ simulator's loop before it built a trace as one ``(K, M, N)`` stack --
 per packet, a faded profile and its CSI summed path by path, the
 impairment state, STO ramp, CFO rotation, AWGN drawn with
 ``rng.normal``, the 8-bit scale-and-round, and the RSSI jitter.
+
+Full-grid peak search (:func:`reference_full_grid_peaks`): a maximum and
+minimum filter over every spectrum cell, then one refinement per kept
+peak -- the second peak oracle next to :func:`reference_find_peaks_2d`.
+
+Eq. 9 by Nelder-Mead (:func:`reference_nelder_mead_locate`): the global
+grid scored by :func:`reference_objective`, then scipy's Nelder-Mead and
+a clip to the bounds, as the solver ran before its cached grid and
+quadratic refinement.
+
+EM clustering (:func:`reference_kmeans`, :func:`reference_gmm`,
+:func:`reference_cluster_estimates`): k-means and the Gaussian mixture
+before their Lloyd sums came from one pass over the labels -- a
+``labels == j`` mask and ``.mean(axis=0)`` per cluster, the squared
+distances computed again in every E-step, ``np.unique(x, axis=0)`` for
+the distinct-point count, and one ``np.nonzero`` per cluster label.
+
+Incidence angle (:func:`reference_incidence_cos`): ``Segment.incidence_cos``
+in ``Point`` arithmetic, rebuilding the wall's unit normal per call.
 """
 
 from __future__ import annotations
@@ -35,6 +54,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy import ndimage, optimize
 
 from repro.channel.chains import ChainOffsets
 from repro.channel.csi_model import ChannelSimulator
@@ -42,13 +62,15 @@ from repro.channel.impairments import ImpairmentState
 from repro.channel.multipath import MultipathProfile
 from repro.channel.paths import PropagationPath
 from repro.constants import SPEED_OF_LIGHT
+from repro.core.clustering import PathCluster
 from repro.core.esprit import EspritEstimator, _selection_indices
 from repro.core.estimator import JointEstimator, PathEstimate
+from repro.core.localization import Localizer
 from repro.core.music import subspaces
 from repro.core.peaks import SpectrumPeak, merge_close_peaks
 from repro.core.smoothing import SmoothingConfig
 from repro.core.steering import SteeringModel
-from repro.errors import EstimationError, GeometryError
+from repro.errors import ClusteringError, EstimationError, GeometryError
 from repro.geom.floorplan import Floorplan
 from repro.geom.points import Point, PointLike, as_point
 from repro.geom.rays import (
@@ -59,7 +81,7 @@ from repro.geom.rays import (
     RayTracer,
     TracedPath,
 )
-from repro.geom.segments import Segment
+from repro.geom.segments import EPS, Segment
 from repro.runtime.cache import default_steering_cache
 from repro.wifi.arrays import UniformLinearArray
 from repro.wifi.csi import CsiFrame, CsiTrace, validate_csi_matrix
@@ -605,3 +627,322 @@ def reference_generate_trace(
             )
         )
     return CsiTrace(frames)
+
+
+# ----------------------------------------------------------------------
+# Full-grid peak search
+# ----------------------------------------------------------------------
+def reference_full_grid_peaks(
+    spectrum,
+    aoa_grid_deg,
+    tof_grid_s,
+    max_peaks=8,
+    min_rel_height_db=20.0,
+    neighborhood=3,
+    exclude_border=True,
+):
+    """Test oracle: the full-grid peak search.
+
+    Runs a 3 x 3 (or ``neighborhood``) maximum and minimum filter over
+    every cell, then refines the kept peaks one at a time.  Equal powers
+    are ordered by row-major grid index.
+    """
+    spec = np.asarray(spectrum, dtype=float)
+    local_max = ndimage.maximum_filter(spec, size=neighborhood, mode="nearest")
+    is_peak = (spec >= local_max) & (spec > 0)
+    local_min = ndimage.minimum_filter(spec, size=neighborhood, mode="nearest")
+    is_peak &= spec > local_min * (1.0 + 1e-12)
+    if exclude_border:
+        is_peak[0, :] = is_peak[-1, :] = False
+        is_peak[:, 0] = is_peak[:, -1] = False
+
+    rows, cols = np.nonzero(is_peak)
+    if rows.size == 0:
+        return []
+    powers = spec[rows, cols]
+    order = np.argsort(-powers, kind="stable")
+    strongest = powers[order[0]]
+    floor = strongest * 10.0 ** (-min_rel_height_db / 10.0)
+
+    peaks = []
+    for idx in order:
+        if len(peaks) >= max_peaks:
+            break
+        power = float(powers[idx])
+        if power < floor:
+            break
+        i, j = int(rows[idx]), int(cols[idx])
+        aoa = _full_grid_refine_axis(spec, aoa_grid_deg, i, j, axis=0)
+        tof = _full_grid_refine_axis(spec, tof_grid_s, i, j, axis=1)
+        peaks.append(SpectrumPeak(aoa_deg=float(aoa), tof_s=float(tof), power=power))
+    return peaks
+
+
+def _full_grid_refine_axis(spec, grid, i, j, axis):
+    n = spec.shape[axis]
+    k = i if axis == 0 else j
+    if k == 0 or k == n - 1:
+        return float(grid[k])
+    if axis == 0:
+        left, center, right = spec[i - 1, j], spec[i, j], spec[i + 1, j]
+    else:
+        left, center, right = spec[i, j - 1], spec[i, j], spec[i, j + 1]
+    logs = np.log(np.maximum([left, center, right], 1e-300))
+    offset = _full_grid_parabolic_offset(logs[0], logs[1], logs[2])
+    step = grid[k + 1] - grid[k] if offset >= 0 else grid[k] - grid[k - 1]
+    return float(grid[k] + offset * step)
+
+
+def _full_grid_parabolic_offset(left, center, right):
+    denom = left - 2.0 * center + right
+    if denom >= -1e-300:
+        return 0.0
+    offset = 0.5 * (left - right) / denom
+    return float(np.clip(offset, -0.5, 0.5))
+
+
+# ----------------------------------------------------------------------
+# Eq. 9 by Nelder-Mead
+# ----------------------------------------------------------------------
+def reference_objective(localizer, candidates, obs, weights):
+    """Test oracle: Eq. 9 as the Nelder-Mead solver computed it.
+
+    The geometry of every (candidate, AP) pair in one broadcast and the
+    angle residuals wrapped with ``np.mod``; the solver's cached grid must
+    match it bit for bit, so its best cell is the one this picks.
+    """
+    positions = np.array([o.array.position for o in obs], dtype=float)
+    normals = np.array([o.array.normal_deg for o in obs], dtype=float)
+    delta = candidates[:, None, :] - positions[None, :, :]
+    dist = np.maximum(np.linalg.norm(delta, axis=2), 1e-3)
+    bearing = np.degrees(np.arctan2(delta[..., 1], delta[..., 0]))
+    pred_aoa = (bearing - normals[None, :] + 180.0) % 360.0 - 180.0
+    measured_aoa = np.array([o.aoa_deg for o in obs], dtype=float)
+    measured_rssi = np.array([o.rssi_dbm for o in obs], dtype=float)
+
+    aoa_diff = (pred_aoa - measured_aoa[None, :] + 180.0) % 360.0 - 180.0
+    if localizer.aoa_residual_cap_deg > 0:
+        cap = localizer.aoa_residual_cap_deg
+        aoa_diff = np.clip(aoa_diff, -cap, cap)
+    aoa_cost = np.sum(weights[None, :] * aoa_diff**2, axis=1) * localizer.aoa_weight
+
+    rssi_cost = np.zeros(len(candidates))
+    rssi_ok = np.isfinite(measured_rssi)
+    if localizer.rssi_weight > 0 and np.count_nonzero(rssi_ok) >= 2:
+        w = weights[rssi_ok][None, :]
+        p = measured_rssi[rssi_ok][None, :]
+        x = -10.0 * np.log10(dist[:, rssi_ok])
+        p0, gamma = Localizer._profile_path_loss(x, p, w)
+        resid = p - (p0[:, None] + gamma[:, None] * x)
+        rssi_cost = np.sum(w * resid**2, axis=1) * localizer.rssi_weight
+    return aoa_cost + rssi_cost
+
+
+def reference_nelder_mead_locate(localizer, observations):
+    """Test oracle: the global grid, then Nelder-Mead, then a clip to the bounds.
+
+    Returns (clipped solution, its objective, unclipped Nelder-Mead point).
+    """
+    obs = [o for o in observations if np.isfinite(o.aoa_deg)]
+    weights = localizer._weights(obs)
+    cells = localizer._grid_points()
+    start = cells[int(np.argmin(reference_objective(localizer, cells, obs, weights)))]
+    result = optimize.minimize(
+        lambda v: reference_objective(localizer, v[None, :], obs, weights)[0],
+        start,
+        method="Nelder-Mead",
+        options={"xatol": 1e-3, "fatol": 1e-9, "maxiter": 400},
+    )
+    solution = np.clip(result.x, localizer.bounds[:2], localizer.bounds[2:])
+    objective = float(reference_objective(localizer, solution[None, :], obs, weights)[0])
+    return solution, objective, result.x
+
+
+# ----------------------------------------------------------------------
+# EM clustering
+# ----------------------------------------------------------------------
+def reference_kmeans(
+    points: np.ndarray,
+    rng: Optional[np.random.Generator] = None,
+    num_clusters: int = 5,
+    max_iter: int = 100,
+    tol: float = 1e-6,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``KMeans(num_clusters, max_iter, tol).fit(points, rng)`` with a mask per cluster."""
+    x = _reference_validate_points(points)
+    rng = np.random.default_rng(0) if rng is None else rng
+    k = min(num_clusters, len(np.unique(x, axis=0)))
+    centers = _reference_kmeanspp_init(x, k, rng)
+    labels = np.zeros(len(x), dtype=int)
+    for _ in range(max_iter):
+        dists = _reference_sq_distances(x, centers)
+        labels = np.argmin(dists, axis=1)
+        new_centers = centers.copy()
+        for j in range(k):
+            members = x[labels == j]
+            if len(members):
+                new_centers[j] = members.mean(axis=0)
+        shift = float(np.max(np.linalg.norm(new_centers - centers, axis=1)))
+        centers = new_centers
+        if shift <= tol:
+            break
+    return labels, centers
+
+
+def _reference_validate_points(points: np.ndarray) -> np.ndarray:
+    x = np.asarray(points, dtype=float)
+    if x.ndim != 2 or x.shape[0] < 1:
+        raise ClusteringError(f"points must be a non-empty (n, d) array, got {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ClusteringError("points contain non-finite values")
+    return x
+
+
+def _reference_sq_distances(x: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    diff = x[:, None, :] - centers[None, :, :]
+    return np.sum(diff**2, axis=2)
+
+
+def _reference_kmeanspp_init(x: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    centers = [x[rng.integers(len(x))]]
+    while len(centers) < k:
+        d2 = np.min(_reference_sq_distances(x, np.asarray(centers)), axis=1)
+        total = d2.sum()
+        if total <= 0:
+            centers.append(x[rng.integers(len(x))])
+            continue
+        probs = d2 / total
+        centers.append(x[rng.choice(len(x), p=probs)])
+    return np.asarray(centers, dtype=float)
+
+
+def reference_gmm(
+    points: np.ndarray,
+    rng: Optional[np.random.Generator] = None,
+    num_components: int = 5,
+    max_iter: int = 200,
+    tol: float = 1e-7,
+    min_var: float = 1e-6,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``GaussianMixture(...).fit(points, rng)`` computing every E-step's distances afresh."""
+    x = _reference_validate_points(points)
+    rng = np.random.default_rng(0) if rng is None else rng
+    n, d = x.shape
+    # Initialize from k-means.
+    labels, centers = reference_kmeans(x, rng, num_clusters=num_components)
+    k = len(centers)
+    means = centers.copy()
+    variances = np.empty((k, d))
+    weights = np.empty(k)
+    for j in range(k):
+        members = x[labels == j]
+        weights[j] = max(len(members), 1) / n
+        if len(members) > 1:
+            variances[j] = np.maximum(members.var(axis=0), min_var)
+        else:
+            variances[j] = np.maximum(x.var(axis=0), min_var)
+    weights /= weights.sum()
+
+    prev_ll = -np.inf
+    resp = np.zeros((n, k))
+    for _ in range(max_iter):
+        # E step: log responsibilities under diagonal Gaussians.
+        log_prob = -0.5 * (
+            np.sum(
+                (x[:, None, :] - means[None, :, :]) ** 2 / variances[None, :, :],
+                axis=2,
+            )
+            + np.sum(np.log(2.0 * np.pi * variances), axis=1)[None, :]
+        )
+        log_prob += np.log(np.maximum(weights, 1e-300))[None, :]
+        log_norm = _reference_logsumexp(log_prob, axis=1)
+        resp = np.exp(log_prob - log_norm[:, None])
+        ll = float(np.mean(log_norm))
+        # M step.
+        nk = resp.sum(axis=0) + 1e-12
+        weights = nk / n
+        means = (resp.T @ x) / nk[:, None]
+        diff2 = (x[:, None, :] - means[None, :, :]) ** 2
+        variances = np.maximum(np.einsum("nk,nkd->kd", resp, diff2) / nk[:, None], min_var)
+        if abs(ll - prev_ll) < tol:
+            break
+        prev_ll = ll
+    labels = np.argmax(resp, axis=1)
+    return labels, means, variances
+
+
+def _reference_logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
+    peak = np.max(a, axis=axis, keepdims=True)
+    return (peak + np.log(np.sum(np.exp(a - peak), axis=axis, keepdims=True))).squeeze(axis)
+
+
+def _reference_normalize_columns(x: np.ndarray) -> np.ndarray:
+    out = np.zeros_like(x)
+    for j in range(x.shape[1]):
+        col = x[:, j]
+        span = col.max() - col.min()
+        if span > 0:
+            out[:, j] = (col - col.min()) / span
+    return out
+
+
+def reference_cluster_estimates(
+    estimates: Sequence[PathEstimate],
+    num_clusters: int = 5,
+    method: str = "gmm",
+    rng: Optional[np.random.Generator] = None,
+    min_cluster_size: int = 1,
+) -> List[PathCluster]:
+    """``cluster_estimates`` with one ``np.nonzero`` per cluster label."""
+    points_list = list(estimates)
+    if not points_list:
+        raise ClusteringError("no path estimates to cluster")
+    raw = np.array([[e.aoa_deg, e.tof_s] for e in points_list], dtype=float)
+    powers = np.array([e.power for e in points_list], dtype=float)
+    normalized = _reference_normalize_columns(raw)
+    rng = np.random.default_rng(0) if rng is None else rng
+
+    k = min(num_clusters, len(points_list))
+    if method == "gmm":
+        labels, _, _ = reference_gmm(normalized, rng, num_components=k)
+    elif method == "kmeans":
+        labels, _ = reference_kmeans(normalized, rng, num_clusters=k)
+    else:
+        raise ClusteringError(f"unknown clustering method {method!r}")
+
+    clusters: List[PathCluster] = []
+    for label in np.unique(labels):
+        idx = np.nonzero(labels == label)[0]
+        if len(idx) < min_cluster_size:
+            continue
+        aoas = raw[idx, 0]
+        tofs = raw[idx, 1]
+        clusters.append(
+            PathCluster(
+                mean_aoa_deg=float(aoas.mean()),
+                mean_tof_s=float(tofs.mean()),
+                var_aoa_deg2=float(aoas.var()),
+                var_tof_s2=float(tofs.var()),
+                count=int(len(idx)),
+                mean_power=float(powers[idx].mean()),
+                member_indices=tuple(int(i) for i in idx),
+            )
+        )
+    if not clusters:
+        raise ClusteringError(
+            f"all clusters smaller than min_cluster_size={min_cluster_size}"
+        )
+    clusters.sort(key=lambda c: -c.count)
+    return clusters
+
+
+# ----------------------------------------------------------------------
+# Incidence angle
+# ----------------------------------------------------------------------
+def reference_incidence_cos(wall: Segment, incoming_from: PointLike, hit_point: PointLike) -> float:
+    """``wall.incidence_cos(incoming_from, hit_point)`` in ``Point`` arithmetic."""
+    v = as_point(hit_point) - as_point(incoming_from)
+    n = v.norm()
+    if n < EPS:
+        raise GeometryError("incidence ray has zero length")
+    return abs((v / n).dot(wall.normal))
