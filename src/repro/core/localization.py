@@ -341,18 +341,19 @@ class Localizer:
                 np.clip(aoa_diff, -cap, cap, out=aoa_diff)
             np.square(aoa_diff, out=aoa_diff)
             aoa_diff *= fix.weights[None, :]
-            cost = np.sum(aoa_diff, axis=1) * self.aoa_weight
+            cost = np.add.reduce(aoa_diff, axis=1) * self.aoa_weight
 
         ok = fix.rssi_ok
         if self.rssi_weight > 0 and np.count_nonzero(ok) >= 2:
             w = fix.weights[ok][None, :]
             p = fix.rssi[ok][None, :]
             # The mask copy is column-major whatever x's layout, which fixes
-            # np.sum's order over APs: every caller sums in the same order.
+            # the reduction's order over APs: every caller sums in the same
+            # order.
             xr = x[:, ok]  # (G, R')
             p0, gamma = self._profile_path_loss(xr, p, w)
             resid = p - (p0[:, None] + gamma[:, None] * xr)
-            cost = cost + np.sum(w * resid**2, axis=1) * self.rssi_weight
+            cost = cost + np.add.reduce(w * resid**2, axis=1) * self.rssi_weight
         return cost
 
     @staticmethod
@@ -365,11 +366,11 @@ class Localizer:
         to a physical range; P0 is re-solved after clamping.
         """
         wx = w * x
-        sw = np.sum(w, axis=1)
-        sx = np.sum(wx, axis=1)
-        sp = np.sum(w * p, axis=1)
-        sxx = np.sum(wx * x, axis=1)
-        sxp = np.sum(wx * p, axis=1)
+        sw = np.add.reduce(w, axis=1)
+        sx = np.add.reduce(wx, axis=1)
+        sp = np.add.reduce(w * p, axis=1)
+        sxx = np.add.reduce(wx * x, axis=1)
+        sxp = np.add.reduce(wx * p, axis=1)
         denom = sw * sxx - sx * sx
         gamma = np.where(np.abs(denom) > 1e-12, (sw * sxp - sx * sp) / np.where(denom == 0, 1, denom), 2.5)
         gamma = np.clip(gamma, *_GAMMA_RANGE)

@@ -14,9 +14,10 @@ assembles that packet's burst:
   accumulate (or at a flush/sync point), amortizing framing and syscall
   cost over the batch.
 * **Pipelining**: sends do not wait for the matching ``FIXES`` reply; a
-  per-shard in-flight counter tracks what is owed, and replies are
-  drained opportunistically after each send and exhaustively at sync
-  points.  This is what lets N shards compute concurrently behind one
+  per-shard in-flight counter tracks what is owed.  After each send and
+  at each :meth:`ShardRouter.take_fixes`, one non-blocking poll reads
+  every reply that has arrived from any shard; sync points wait for all
+  of them.  This is what lets N shards compute concurrently behind one
   single-threaded router.
 * **Failover**: any send/receive failure (or failed health probe) marks
   the shard dead, removes it from the ring, and re-routes both the
@@ -168,8 +169,10 @@ class ShardRouter:
         and untraced flushes, so shards do no tracing work for them.
 
     Fix events arrive asynchronously relative to ``ingest`` calls (a
-    reply may carry fixes from packets sent several batches ago); they
-    accumulate internally and are handed out by :meth:`take_fixes`.
+    reply may carry fixes from packets sent several batches ago).  Every
+    shipped batch and every :meth:`take_fixes` call polls all shards that
+    owe replies without blocking, so a fix is handed out at the caller's
+    first ``take_fixes`` after its reply lands, whichever shard sent it.
     """
 
     def __init__(
@@ -461,12 +464,11 @@ class ShardRouter:
         """Collect replies the shard owes us.
 
         Non-blocking mode peeks with ``select`` and stops as soon as no
-        reply has started to arrive — called after each send so fixes
-        surface promptly without stalling the pipeline.  Once a reply is
-        readable, the message is read to completion with the normal
-        timeout, so the stream can never be torn mid-message.  Blocking
-        mode waits for every owed reply — the sync point used by flush
-        and metrics.
+        reply has started to arrive (see :meth:`_poll_replies`).  Once a
+        reply is readable, the message is read to completion with the
+        normal timeout, so the stream can never be torn mid-message.
+        Blocking mode waits for every owed reply — the sync point used by
+        flush, metrics and shutdown.
         """
         while self._unacked.get(shard_id):
             sock = self._sockets.get(shard_id)
@@ -493,6 +495,28 @@ class ShardRouter:
                 return
             self._note_reply(shard_id)
             self._absorb_reply(shard_id, *message)
+
+    def _poll_replies(self) -> None:
+        """Read every reply already waiting, from every shard owing one.
+
+        One zero-timeout ``select`` picks the readable shards; each is
+        then drained without blocking, so its own socket answers for any
+        failure (if the joint ``select`` fails, each shard tries alone).
+        """
+        owing = [
+            (shard_id, self._sockets[shard_id])
+            for shard_id, owed in self._unacked.items()
+            if owed and shard_id in self._sockets
+        ]
+        if not owing:
+            return
+        try:
+            readable = select.select([sock for _, sock in owing], [], [], 0.0)[0]
+        except (OSError, ValueError):
+            readable = [sock for _, sock in owing]
+        for shard_id, sock in owing:
+            if sock in readable:
+                self._drain_replies(shard_id, block=False)
 
     def _send_request(
         self,
@@ -546,7 +570,7 @@ class ShardRouter:
             if self._send_request(shard_id, msg_type, payload, record=record):
                 self.metrics.increment("dist.frames.sent", len(batch))
                 self.metrics.increment("dist.batches.sent")
-                self._drain_replies(shard_id, block=False)
+                self._poll_replies()
             else:
                 # The shard never accepted the batch; undo its journal
                 # reservation and re-route every frame (the failover in
@@ -573,7 +597,8 @@ class ShardRouter:
         at-least-once dedup key).  Raises
         :class:`~repro.errors.ShardUnavailableError` when every shard
         is dead.  Fix events produced by completed bursts arrive
-        asynchronously — collect them with :meth:`take_fixes`.
+        asynchronously — collect them with :meth:`take_fixes`.  A shipped
+        batch also reads the replies any shard has ready.
         """
         self._maybe_health_check()
         seq = (self._seqs.get(frame.source, 0) % 0xFFFFFFFF) + 1
@@ -646,7 +671,15 @@ class ShardRouter:
         return self.take_fixes()
 
     def take_fixes(self) -> List[WireFix]:
-        """Hand over (and clear) the fix events collected so far."""
+        """Hand over (and clear) the fix events that have arrived.
+
+        First reads, without blocking, every reply any shard has ready,
+        so a fix computed since the last call is included even if no
+        batch has been shipped to its shard since.  A shard found dead
+        during that poll fails over as it would during :meth:`ingest`
+        (journal replay, stranding, track resume); this never raises.
+        """
+        self._poll_replies()
         fixes = self._fixes
         self._fixes = []
         return fixes

@@ -48,6 +48,7 @@ class TofEstimator(Estimator):
     def __init__(self, context: EstimatorContext) -> None:
         super().__init__(context)
         self._models: Dict[Tuple[int, float], Tuple[SteeringModel, np.ndarray, np.ndarray]] = {}
+        self._localizer: Optional[Localizer] = None
 
     def _model_for(
         self, array: UniformLinearArray
@@ -72,16 +73,9 @@ class TofEstimator(Estimator):
         rssi = used.median_rssi_dbm()
         model, tof_grid, conj_o = self._model_for(array)
         stack = prepare_csi_all([frame.csi for frame in used], model, config.sanitize)
-        spectrum: Optional[np.ndarray] = None
-        for csi in stack:
-            # (M, N) @ (N, Gt) -> per-antenna delay responses, power-summed.
-            responses = csi @ conj_o.T
-            packet_spectrum = np.sum(np.abs(responses) ** 2, axis=0)
-            spectrum = (
-                packet_spectrum if spectrum is None else spectrum + packet_spectrum
-            )
-        if spectrum is None:
+        if not len(stack):
             raise EstimationError("empty CSI trace: no packets to range")
+        spectrum = delay_spectrum(stack, conj_o)
         peak = float(spectrum.max())
         if peak <= 0.0:
             raise EstimationError("degenerate delay spectrum (zero CSI?)")
@@ -113,11 +107,24 @@ class TofEstimator(Estimator):
             )
             for e in estimates
         ]
-        localizer = Localizer(
-            bounds=self.context.bounds,
-            grid_step_m=self.context.config.grid_step_m,
-            aoa_weight=0.0,
-            rssi_weight=1.0,
-            use_likelihood_weights=False,
-        )
-        return localizer.locate(observations)
+        if self._localizer is None:
+            self._localizer = Localizer(
+                bounds=self.context.bounds,
+                grid_step_m=self.context.config.grid_step_m,
+                aoa_weight=0.0,
+                rssi_weight=1.0,
+                use_likelihood_weights=False,
+            )
+        return self._localizer.locate(observations)
+
+
+def delay_spectrum(stack: np.ndarray, conj_o: np.ndarray) -> np.ndarray:
+    """``sum_m |Omega^H csi_m|^2`` over a ``(K, M, N)`` packet stack.
+
+    ``(K, M, N) @ (N, Gt)`` gives every packet's per-antenna delay
+    responses in one product; their powers are summed over antennas,
+    then over packets in packet order, as a per-packet running sum does.
+    """
+    responses = stack @ conj_o.T
+    per_packet = np.add.reduce(np.abs(responses) ** 2, axis=1)  # (K, Gt)
+    return np.add.reduce(per_packet, axis=0)

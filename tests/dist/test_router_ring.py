@@ -11,6 +11,7 @@ from __future__ import annotations
 import os
 import socket
 import threading
+import time
 from collections import Counter
 
 import numpy as np
@@ -80,12 +81,25 @@ class FakeShard:
 
     Answers INGEST with one synthetic ok fix per batch, FLUSH with an
     empty fix list, HEALTH/METRICS/SHUTDOWN per the protocol contract.
+    ``reply_delay_s`` holds each INGEST reply back; ``hang_up_on_ingest``
+    closes the connection after that delay instead of answering the
+    first INGEST, and sets ``hung_up``.
     """
 
-    def __init__(self, shard_id: str, directory: str) -> None:
+    def __init__(
+        self,
+        shard_id: str,
+        directory: str,
+        reply_delay_s: float = 0.0,
+        hang_up_on_ingest: bool = False,
+    ) -> None:
         self.shard_id = shard_id
         self.spec = f"unix:{os.path.join(directory, shard_id + '.sock')}"
+        self.reply_delay_s = reply_delay_s
+        self.hang_up_on_ingest = hang_up_on_ingest
+        self.hung_up = threading.Event()
         self.frames_seen = []
+        self.seqs_seen = []
         self._listener = parse_bind(self.spec).listen()
         self._stop = threading.Event()
         self._thread = threading.Thread(target=self._serve, daemon=True)
@@ -110,6 +124,7 @@ class FakeShard:
                     except OSError:
                         break
                     if message is None or not self._answer(conn, *message):
+                        conn.close()
                         break
         finally:
             for conn in conns:
@@ -118,8 +133,15 @@ class FakeShard:
 
     def _answer(self, conn, msg_type, payload) -> bool:
         if msg_type == MessageType.INGEST:
-            batch = [(ap, frame) for ap, frame, _ in protocol.decode_frames_seq(payload)]
+            time.sleep(self.reply_delay_s)
+            if self.hang_up_on_ingest:
+                conn.close()
+                self.hung_up.set()
+                return False
+            entries = protocol.decode_frames_seq(payload)
+            batch = [(ap, frame) for ap, frame, _ in entries]
             self.frames_seen.extend(batch)
+            self.seqs_seen.extend((frame.source, seq) for _, frame, seq in entries)
             fix = WireFix(
                 source=batch[0][1].source if batch else "?",
                 timestamp_s=0.0,
@@ -245,3 +267,73 @@ class TestShardRouter:
     def test_router_needs_a_shard(self):
         with pytest.raises(ShardUnavailableError):
             ShardRouter({})
+
+
+def source_owned_by(router, shard_id):
+    """The first of ``target-0, target-1, ...`` that hashes to ``shard_id``."""
+    return next(
+        f"target-{j}" for j in range(1000) if router.owner_of(f"target-{j}") == shard_id
+    )
+
+
+class TestReplyPolling:
+    """Replies are read from every shard that owes one, not only the last sent to."""
+
+    def test_fix_surfaces_without_further_ingest_or_flush(self, tmp_path):
+        shard = FakeShard("slow", str(tmp_path), reply_delay_s=0.1)
+        try:
+            with ShardRouter({"slow": shard.spec}, batch_max_frames=1) as router:
+                router.ingest("ap0", make_frame("target-0"))
+                # The post-send poll ran before the delayed reply existed.
+                assert router.health_view()["inflight"] == {"slow": 1}
+                fixes = []
+                deadline = time.monotonic() + 5.0
+                while not fixes and time.monotonic() < deadline:
+                    time.sleep(0.005)
+                    fixes = router.take_fixes()
+                assert [fix.source for fix in fixes] == ["target-0"]
+                assert router.health_view()["inflight"] == {}
+                assert router.metrics.counter("dist.batches.sent") == 1
+        finally:
+            shard.stop()
+
+    @pytest.mark.parametrize("trigger", ["take_fixes", "ingest"])
+    def test_hang_up_with_reply_owed_fails_over(self, tmp_path, trigger):
+        shards = {
+            "s0": FakeShard(
+                "s0", str(tmp_path), reply_delay_s=0.1, hang_up_on_ingest=True
+            ),
+            "s1": FakeShard("s1", str(tmp_path)),
+        }
+        try:
+            with ShardRouter(
+                {sid: s.spec for sid, s in shards.items()}, batch_max_frames=1
+            ) as router:
+                victim_source = source_owned_by(router, "s0")
+                other_source = source_owned_by(router, "s1")
+                router.ingest("ap0", make_frame(victim_source))
+                # The post-send poll ran before the hang-up.
+                assert router.health_view()["inflight"] == {"s0": 1}
+                assert shards["s0"].hung_up.wait(5.0)
+                if trigger == "take_fixes":
+                    router.take_fixes()
+                else:
+                    router.ingest("ap0", make_frame(other_source))
+                assert router.dead_shards() == {"s0": "connection closed"}
+                counters = router.stats()["counters"]
+                failover = {
+                    name: value
+                    for name, value in counters.items()
+                    if name.startswith("dist.failover.")
+                }
+                assert failover == {
+                    "dist.failover.shard_down": 1,
+                    "dist.failover.replayed": 1,
+                }
+                router.flush()
+                # The journaled frame reached the survivor with its seq.
+                assert (victim_source, 1) in shards["s1"].seqs_seen
+                assert router.health_view()["journal_frames"] == 0
+        finally:
+            for shard in shards.values():
+                shard.stop()

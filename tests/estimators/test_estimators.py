@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.clustering import cluster_estimates
 from repro.core.direct_path import select_direct_path
+from repro.core.estimator import prepare_csi_all
 from repro.core.pipeline import SpotFi, SpotFiConfig
 from repro.core.sanitize import sanitize_csi
 from repro.estimators import (
@@ -15,8 +16,11 @@ from repro.estimators import (
     create,
     tier_of,
 )
+from repro.estimators.tof import delay_spectrum
 from repro.testbed.layout import small_testbed
 from repro.wifi.csi import CsiTrace
+
+from reference import reference_tof_estimate, reference_tof_spectrum
 
 #: Accuracy ceiling per tier — coarse trades precision for latency.
 _TIER_ERROR_M = {"precise": 1.5, "balanced": 2.5, "coarse": 3.5}
@@ -120,31 +124,6 @@ def test_wrong_subcarrier_count_degrades_only_that_ap(scene, name):
     )
 
 
-def _reference_tof(estimator, array, trace):
-    """Test oracle: the tof tier with its own inline front end and peak rule."""
-    config = estimator.context.config
-    used = trace[: config.packets_per_fix]
-    model, tof_grid, conj_o = estimator._model_for(array)
-    spectrum = None
-    for frame in used:
-        csi = sanitize_csi(frame.csi) if config.sanitize else frame.csi
-        packet = np.sum(np.abs(csi @ conj_o.T) ** 2, axis=0)
-        spectrum = packet if spectrum is None else spectrum + packet
-    peak = float(spectrum.max())
-    threshold = peak * 10.0 ** (-10.0 / 10.0)
-    interior = (spectrum[1:-1] >= spectrum[:-2]) & (spectrum[1:-1] >= spectrum[2:])
-    candidates = np.nonzero(interior & (spectrum[1:-1] >= threshold))[0] + 1
-    best = int(candidates[0]) if candidates.size else int(np.argmax(spectrum))
-    confidence = float(spectrum[best] / peak)
-    path = EstimatedPath(aoa_deg=0.0, tof_s=float(tof_grid[best]), weight=confidence)
-    return ApEstimate(
-        array=array,
-        paths=(path,),
-        confidence=confidence,
-        rssi_dbm=used.median_rssi_dbm(),
-    )
-
-
 def _reference_mdtrack(estimator, array, trace):
     """Test oracle: the mdtrack tier with an inline front end and path list."""
     config = estimator.context.config
@@ -180,7 +159,7 @@ def _reference_mdtrack(estimator, array, trace):
 
 
 @pytest.mark.parametrize(
-    "name, reference", [("tof", _reference_tof), ("mdtrack", _reference_mdtrack)]
+    "name, reference", [("tof", reference_tof_estimate), ("mdtrack", _reference_mdtrack)]
 )
 def test_office_estimates_match_reference(office_bursts, grid, name, reference):
     for seed, (array, trace) in enumerate(office_bursts):
@@ -191,3 +170,25 @@ def test_office_estimates_match_reference(office_bursts, grid, name, reference):
         got = estimator.estimate_ap(array, trace)
         assert got.usable
         assert got == reference(estimator, array, trace)
+
+
+@pytest.mark.parametrize("sanitize", [True, False])
+@pytest.mark.parametrize("packets", [1, 3, 8])
+def test_tof_stacked_spectrum_matches_per_packet_reference(
+    scene, office_bursts, grid, packets, sanitize
+):
+    _tb, sim, _target, pairs = scene
+    bursts = [(grid, pair) for pair in office_bursts] + [(sim.grid, p) for p in pairs]
+    config = SpotFiConfig(packets_per_fix=packets, sanitize=sanitize)
+    for seed, (ofdm, (array, trace)) in enumerate(bursts):
+        context = EstimatorContext(grid=ofdm, bounds=None, config=config, seed=seed)
+        estimator = create("tof", context)
+        model, _tof_grid, conj_o = estimator._model_for(array)
+        stack = prepare_csi_all([f.csi for f in trace[:packets]], model, sanitize)
+        np.testing.assert_array_equal(
+            delay_spectrum(stack, conj_o),
+            reference_tof_spectrum(estimator, array, trace),
+        )
+        assert estimator.estimate_ap(array, trace) == reference_tof_estimate(
+            estimator, array, trace
+        )

@@ -47,6 +47,11 @@ the distinct-point count, and one ``np.nonzero`` per cluster label.
 
 Incidence angle (:func:`reference_incidence_cos`): ``Segment.incidence_cos``
 in ``Point`` arithmetic, rebuilding the wall's unit normal per call.
+
+ToF-only ranging (:func:`reference_tof_spectrum`,
+:func:`reference_tof_estimate`): the ``tof`` tier's delay spectrum
+summed one packet at a time, each packet sanitized on its own, and its
+earliest-strong-peak rule written out inline.
 """
 
 from __future__ import annotations
@@ -68,9 +73,11 @@ from repro.core.estimator import JointEstimator, PathEstimate
 from repro.core.localization import Localizer
 from repro.core.music import subspaces
 from repro.core.peaks import SpectrumPeak, merge_close_peaks
+from repro.core.sanitize import sanitize_csi
 from repro.core.smoothing import SmoothingConfig
 from repro.core.steering import SteeringModel
 from repro.errors import ClusteringError, EstimationError, GeometryError
+from repro.estimators.base import ApEstimate, EstimatedPath
 from repro.geom.floorplan import Floorplan
 from repro.geom.points import Point, PointLike, as_point
 from repro.geom.rays import (
@@ -946,3 +953,35 @@ def reference_incidence_cos(wall: Segment, incoming_from: PointLike, hit_point: 
     if n < EPS:
         raise GeometryError("incidence ray has zero length")
     return abs((v / n).dot(wall.normal))
+
+
+def reference_tof_spectrum(estimator, array: UniformLinearArray, trace: CsiTrace) -> np.ndarray:
+    """The ``tof`` tier's delay spectrum, one packet at a time."""
+    config = estimator.context.config
+    _model, _tof_grid, conj_o = estimator._model_for(array)
+    spectrum = None
+    for frame in trace[: config.packets_per_fix]:
+        csi = sanitize_csi(frame.csi) if config.sanitize else frame.csi
+        packet = np.sum(np.abs(csi @ conj_o.T) ** 2, axis=0)
+        spectrum = packet if spectrum is None else spectrum + packet
+    return spectrum
+
+
+def reference_tof_estimate(estimator, array: UniformLinearArray, trace: CsiTrace) -> ApEstimate:
+    """The ``tof`` tier's ``estimate_ap`` with an inline front end and peak rule."""
+    used = trace[: estimator.context.config.packets_per_fix]
+    _model, tof_grid, _conj_o = estimator._model_for(array)
+    spectrum = reference_tof_spectrum(estimator, array, trace)
+    peak = float(spectrum.max())
+    threshold = peak * 10.0 ** (-10.0 / 10.0)
+    interior = (spectrum[1:-1] >= spectrum[:-2]) & (spectrum[1:-1] >= spectrum[2:])
+    candidates = np.nonzero(interior & (spectrum[1:-1] >= threshold))[0] + 1
+    best = int(candidates[0]) if candidates.size else int(np.argmax(spectrum))
+    confidence = float(spectrum[best] / peak)
+    path = EstimatedPath(aoa_deg=0.0, tof_s=float(tof_grid[best]), weight=confidence)
+    return ApEstimate(
+        array=array,
+        paths=(path,),
+        confidence=confidence,
+        rssi_dbm=used.median_rssi_dbm(),
+    )
