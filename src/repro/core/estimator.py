@@ -23,9 +23,9 @@ import numpy as np
 from repro.core.music import (
     MusicConfig,
     covariances,
+    eigen_splits,
     subspace_energy,
     subspace_spectrum,
-    subspaces,
 )
 from repro.core.peaks import (
     PeakCandidates,
@@ -234,21 +234,16 @@ class SubspaceEstimator:
     ) -> List[Union[Tuple[np.ndarray, np.ndarray], EstimationError]]:
         """Lines 5-6 up to the subspaces: ``(E_S, E_N)`` per smoothed matrix.
 
-        The covariances come from one batched matmul; ``subspaces`` (and
-        so ``eigh``) runs per packet, and a degenerate covariance fails
-        only its own packet.
+        The covariances come from one batched matmul and
+        :func:`~repro.core.music.eigen_splits` splits them as one stack;
+        a degenerate covariance fails only its own packet.
         """
-        split: List[Union[Tuple[np.ndarray, np.ndarray], EstimationError]] = []
-        for cov in covariances(x):
-            try:
-                e_signal, e_noise, _ = subspaces(
-                    cov, self.music, num_snapshots=x.shape[2]
-                )
-            except EstimationError as exc:
-                split.append(exc)
-            else:
-                split.append((e_signal, e_noise))
-        return split
+        return [
+            split
+            if isinstance(split, EstimationError)
+            else (split[0][:, : split[1]], split[0][:, split[1] :])
+            for split in eigen_splits(covariances(x), self.music, x.shape[2])
+        ]
 
     @staticmethod
     def _mark_failed(span: SpanHandle, outcomes: Sequence[object]) -> None:

@@ -23,7 +23,7 @@ subspace rank.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -106,9 +106,13 @@ def forward_backward_average(cov: np.ndarray) -> np.ndarray:
     covariance keeps the same signal subspace while decorrelating
     coherent arrivals.
     """
-    r = np.asarray(cov, dtype=np.complex128)
-    flipped = r[::-1, ::-1].conj()
-    avg = r + flipped  # fresh array: halving in place cannot alias `cov`
+    return _forward_backward(np.asarray(cov, dtype=np.complex128))
+
+
+def _forward_backward(r: np.ndarray) -> np.ndarray:
+    """:func:`forward_backward_average` of every matrix in a ``(..., S, S)`` stack."""
+    avg = r[..., ::-1, ::-1].conj()  # fresh array: in-place ops cannot alias `r`
+    avg += r
     avg /= 2.0
     return avg
 
@@ -162,6 +166,66 @@ def mdl_signal_dimension(eigenvalues: np.ndarray, num_snapshots: int) -> int:
     return int(min(max(best_k, 1), p - 1))
 
 
+#: One covariance's result from :func:`eigen_splits`: its eigenvectors in
+#: descending eigenvalue order and its signal dimension, or the
+#: :class:`EstimationError` that stopped it.
+EigenSplit = Union[Tuple[np.ndarray, int], EstimationError]
+
+
+def eigen_splits(
+    covs: np.ndarray,
+    config: MusicConfig = MusicConfig(),
+    num_snapshots: int = 0,
+) -> List[EigenSplit]:
+    """Signal/noise eigen-split of every covariance in a ``(K, S, S)`` stack.
+
+    Forward-backward averaging, symmetrisation and ``eigh`` run once
+    over the stack, the threshold order is one count per row, and MDL
+    (``config.use_mdl``) runs per covariance.  Returns one
+    :data:`EigenSplit` per covariance: the first ``num_signals`` of its
+    eigenvectors span the signal subspace, the rest the noise subspace.
+    A covariance with no positive eigenvalue (all-zero CSI) fails alone;
+    when the stacked ``eigh`` raises, it re-runs one covariance at a
+    time, so a decomposition that fails also fails only its own entry.
+
+    Each entry equals the K = 1 call on that covariance bit for bit:
+    ``eigh`` is a LAPACK gufunc that runs the same routine on each
+    matrix, and everything else is elementwise.
+    """
+    covs = np.asarray(covs, dtype=np.complex128)
+    # In place on fresh arrays, so the stack holds few (K, S, S) temporaries;
+    # addition commutes exactly, so the sums are bit for bit R + R^H.
+    r = _forward_backward(covs) if config.forward_backward else covs
+    sym = r.conj().transpose(0, 2, 1)
+    sym += r
+    sym /= 2.0
+    del r
+    try:
+        # eigh returns ascending eigenvalues for Hermitian input.
+        eigenvalues, eigenvectors = np.linalg.eigh(sym)
+    except np.linalg.LinAlgError as exc:
+        if len(covs) > 1:
+            return [eigen_splits(cov[None], config, num_snapshots)[0] for cov in covs]
+        return [EstimationError(f"covariance eigen-decomposition failed: {exc}")]
+    eigenvalues = eigenvalues[:, ::-1]
+    eigenvectors = eigenvectors[:, :, ::-1]
+    lam_max = eigenvalues[:, 0]
+    size = covs.shape[1]
+    if config.use_mdl:
+        snapshots = num_snapshots if num_snapshots > 0 else size
+        orders = [mdl_signal_dimension(row, snapshots) for row in eigenvalues]
+    else:
+        above = eigenvalues > (config.eigenvalue_threshold_ratio * lam_max)[:, None]
+        orders = np.count_nonzero(above, axis=1).tolist()
+    limit = min(config.max_paths, size - 1)
+    return [
+        EstimationError("covariance has no positive eigenvalues (zero CSI?)")
+        if peak <= 0
+        else (vectors, min(max(order, 1), limit))
+        for vectors, order, peak in zip(eigenvectors, orders, lam_max.tolist())
+    ]
+
+
 def subspaces(
     cov: np.ndarray,
     config: MusicConfig = MusicConfig(),
@@ -171,31 +235,18 @@ def subspaces(
 
     Returns ``(E_S, E_N, num_signals)`` where E_S holds the ``num_signals``
     dominant eigenvectors and E_N the rest.  Raises
-    :class:`EstimationError` if the covariance is degenerate (all-zero).
+    :class:`EstimationError` if the covariance is degenerate (all-zero)
+    or its eigen-decomposition fails.  The K = 1 call of
+    :func:`eigen_splits`.
     """
     r = np.asarray(cov, dtype=np.complex128)
     if r.ndim != 2 or r.shape[0] != r.shape[1]:
         raise EstimationError(f"covariance must be square, got shape {r.shape}")
-    if config.forward_backward:
-        r = forward_backward_average(r)
-    # eigh returns ascending eigenvalues for Hermitian input.
-    sym = r + r.conj().T  # fresh array: halving in place cannot alias `cov`
-    sym /= 2.0
-    eigenvalues, eigenvectors = np.linalg.eigh(sym)
-    eigenvalues = eigenvalues[::-1]
-    eigenvectors = eigenvectors[:, ::-1]
-    lam_max = float(eigenvalues[0])
-    if lam_max <= 0:
-        raise EstimationError("covariance has no positive eigenvalues (zero CSI?)")
-    if config.use_mdl:
-        snapshots = num_snapshots if num_snapshots > 0 else r.shape[0]
-        num_signals = mdl_signal_dimension(eigenvalues, snapshots)
-    else:
-        num_signals = int(
-            np.count_nonzero(eigenvalues > config.eigenvalue_threshold_ratio * lam_max)
-        )
-    num_signals = min(max(num_signals, 1), config.max_paths, r.shape[0] - 1)
-    return eigenvectors[:, :num_signals], eigenvectors[:, num_signals:], num_signals
+    (split,) = eigen_splits(r[None], config, num_snapshots)
+    if isinstance(split, EstimationError):
+        raise split
+    vectors, num_signals = split
+    return vectors[:, :num_signals], vectors[:, num_signals:], num_signals
 
 
 def noise_subspace(

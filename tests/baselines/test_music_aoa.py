@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
+from reference import reference_music_aoa_spectrum
 from repro.baselines.music_aoa import MusicAoaConfig, MusicAoaEstimator
 from repro.channel.csi_model import synthesize_csi
 from repro.channel.paths import PropagationPath
 from repro.core.steering import SteeringModel
-from repro.core.sanitize import sanitize_csi
 from repro.errors import ConfigurationError, EstimationError
 from repro.wifi.csi import CsiTrace
 
@@ -18,38 +18,6 @@ def estimator(grid, ula):
         grid, num_antennas=3, antenna_spacing_m=ula.spacing_m
     )
     return MusicAoaEstimator(model=model)
-
-
-def _reference_spectrum(est, csi):
-    """Test oracle: antenna-only MUSIC with an inline covariance and split.
-
-    Forward-backward averaging is the exchange-matrix product
-    ``(R + J R* J) / 2`` and the eigen-split is written out, so the
-    shared :func:`~repro.core.music.subspaces` path can be pinned bit
-    for bit.
-    """
-    csi = np.asarray(csi, dtype=np.complex128)
-    if est.sanitize:
-        csi = sanitize_csi(csi)
-    m = csi.shape[0]
-    sub = est.config.spatial_smoothing_subarray
-    if sub:
-        csi = np.concatenate([csi[i : i + sub, :] for i in range(m - sub + 1)], axis=1)
-        m = sub
-    cov = csi @ csi.conj().T
-    if est.config.forward_backward:
-        exchange = np.eye(m)[::-1]
-        cov = (cov + exchange @ cov.conj() @ exchange) / 2.0
-    eigenvalues, eigenvectors = np.linalg.eigh((cov + cov.conj().T) / 2.0)
-    eigenvalues = eigenvalues[::-1]
-    eigenvectors = eigenvectors[:, ::-1]
-    num_signals = int(
-        np.sum(eigenvalues > est.config.eigenvalue_threshold_ratio * eigenvalues[0])
-    )
-    e_noise = eigenvectors[:, int(np.clip(num_signals, 1, m - 1)) :]
-    steering = est.model.subarray_model(m, 1).antenna_vector(est.config.aoa_grid())
-    proj = steering.conj() @ e_noise
-    return 1.0 / np.maximum(np.sum(np.abs(proj) ** 2, axis=1) / m, 1e-18)
 
 
 class TestSinglePath:
@@ -164,6 +132,6 @@ def test_office_spectra_match_reference(office_bursts, grid, config, sanitize):
         for frame in trace:
             spectrum, aoa_grid = est.spectrum(frame.csi)
             assert np.array_equal(aoa_grid, config.aoa_grid())
-            assert np.array_equal(spectrum, _reference_spectrum(est, frame.csi))
+            assert np.array_equal(spectrum, reference_music_aoa_spectrum(est, frame.csi))
             compared += 1
     assert compared == 18

@@ -10,16 +10,18 @@ import numpy as np
 import pytest
 
 from reference import (
+    reference_esprit_paths,
     reference_estimate_packet,
     reference_estimate_packets,
     reference_find_peaks_2d,
     reference_packet_spectrum,
     reference_sanitize_csi,
     reference_smooth_csi,
+    reference_subspaces,
 )
 from repro.core.esprit import EspritEstimator
 from repro.core.estimator import estimate_ap_packets
-from repro.core.music import MusicConfig, subspaces
+from repro.core.music import MusicConfig
 from repro.core.peaks import find_peaks_2d, peak_candidates, select_peaks
 from repro.core.pipeline import SpotFi, SpotFiConfig
 from repro.errors import EstimationError
@@ -159,10 +161,10 @@ class TestEspritStack:
             for i, c in enumerate(csi):
                 sanitized = reference_sanitize_csi(c)
                 x = reference_smooth_csi(sanitized, estimator.smoothing)
-                e_signal, _, _ = subspaces(
+                e_signal, _, _ = reference_subspaces(
                     x @ x.conj().T, estimator.music, num_snapshots=x.shape[1]
                 )
-                expected.append(estimator._packet_paths(sanitized, e_signal, i))
+                expected.append(reference_esprit_paths(estimator, sanitized, e_signal, i))
             assert estimator.estimate_stack(csi) == expected
 
 

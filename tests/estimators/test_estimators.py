@@ -3,24 +3,18 @@
 import numpy as np
 import pytest
 
-from repro.core.clustering import cluster_estimates
-from repro.core.direct_path import select_direct_path
 from repro.core.estimator import prepare_csi_all
 from repro.core.pipeline import SpotFi, SpotFiConfig
-from repro.core.sanitize import sanitize_csi
-from repro.estimators import (
-    ApEstimate,
-    EstimatedPath,
-    EstimatorContext,
-    available,
-    create,
-    tier_of,
-)
+from repro.estimators import EstimatorContext, available, create, tier_of
 from repro.estimators.tof import delay_spectrum
 from repro.testbed.layout import small_testbed
 from repro.wifi.csi import CsiTrace
 
-from reference import reference_tof_estimate, reference_tof_spectrum
+from reference import (
+    reference_mdtrack_estimate,
+    reference_tof_estimate,
+    reference_tof_spectrum,
+)
 
 #: Accuracy ceiling per tier — coarse trades precision for latency.
 _TIER_ERROR_M = {"precise": 1.5, "balanced": 2.5, "coarse": 3.5}
@@ -124,42 +118,8 @@ def test_wrong_subcarrier_count_degrades_only_that_ap(scene, name):
     )
 
 
-def _reference_mdtrack(estimator, array, trace):
-    """Test oracle: the mdtrack tier with an inline front end and path list."""
-    config = estimator.context.config
-    used = trace[: config.packets_per_fix]
-    model = estimator._model_for(array)
-    estimates = []
-    for index, frame in enumerate(used):
-        csi = sanitize_csi(frame.csi) if config.sanitize else frame.csi
-        estimates.extend(estimator._packet_paths(model, csi, index))
-    clusters = cluster_estimates(
-        estimates,
-        num_clusters=config.num_clusters,
-        method="kmeans",
-        rng=np.random.default_rng(estimator.context.seed),
-        min_cluster_size=max(
-            config.min_cluster_size,
-            int(np.ceil(config.min_cluster_fraction * len(used))),
-        ),
-    )
-    direct = select_direct_path(clusters, config.likelihood)
-    paths = [EstimatedPath(direct.aoa_deg, direct.tof_s, direct.likelihood)]
-    for cluster, likelihood in zip(direct.all_clusters, direct.all_likelihoods):
-        if cluster is not direct.cluster:
-            paths.append(
-                EstimatedPath(cluster.mean_aoa_deg, cluster.mean_tof_s, likelihood)
-            )
-    return ApEstimate(
-        array=array,
-        paths=tuple(paths),
-        confidence=float(direct.likelihood),
-        rssi_dbm=used.median_rssi_dbm(),
-    )
-
-
 @pytest.mark.parametrize(
-    "name, reference", [("tof", reference_tof_estimate), ("mdtrack", _reference_mdtrack)]
+    "name, reference", [("tof", reference_tof_estimate), ("mdtrack", reference_mdtrack_estimate)]
 )
 def test_office_estimates_match_reference(office_bursts, grid, name, reference):
     for seed, (array, trace) in enumerate(office_bursts):

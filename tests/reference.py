@@ -13,10 +13,17 @@ refines one spectrum's candidates.  :func:`reference_estimate_packet`
 composes them like ``stage_sanitize -> stage_smooth -> stage_music ->
 stage_peaks`` did.
 
+The one-matrix eigen-split (:func:`reference_subspaces`): forward-backward
+averaging, symmetrisation, one ``eigh`` and the threshold or MDL order
+for one covariance, as ``subspaces`` ran before the split took an AP's
+whole covariance stack.
+
 Per-packet ESPRIT (:func:`reference_esprit_packet`): the same front end
-with the eigen-split written out, each eigenvalue converted to (AoA,
-ToF) on its own, and path powers fitted against a steering matrix built
-one ``np.kron`` column per path (:func:`reference_steering_matrix`).
+and one-matrix split, then (:func:`reference_esprit_paths`) the
+shift-invariance solve, ``eig`` and ``inv`` of one packet, each
+eigenvalue converted to (AoA, ToF) on its own, and path powers fitted
+against a steering matrix built one ``np.kron`` column per path
+(:func:`reference_steering_matrix`).
 
 Scalar image-method ray tracing (:func:`reference_trace`): the tracer
 before it ran as arrays over all walls -- one wall sequence at a time,
@@ -52,6 +59,11 @@ ToF-only ranging (:func:`reference_tof_spectrum`,
 :func:`reference_tof_estimate`): the ``tof`` tier's delay spectrum
 summed one packet at a time, each packet sanitized on its own, and its
 earliest-strong-peak rule written out inline.
+
+Antenna-only MUSIC (:func:`reference_music_aoa_spectrum`) and the
+``mdtrack`` tier (:func:`reference_mdtrack_estimate`): the covariance,
+exchange-matrix averaging and split written out inline, and mdtrack's
+per-packet front end and path list, moved from their test files.
 """
 
 from __future__ import annotations
@@ -67,11 +79,12 @@ from repro.channel.impairments import ImpairmentState
 from repro.channel.multipath import MultipathProfile
 from repro.channel.paths import PropagationPath
 from repro.constants import SPEED_OF_LIGHT
-from repro.core.clustering import PathCluster
+from repro.core.clustering import PathCluster, cluster_estimates
+from repro.core.direct_path import select_direct_path
 from repro.core.esprit import EspritEstimator, _selection_indices
 from repro.core.estimator import JointEstimator, PathEstimate
 from repro.core.localization import Localizer
-from repro.core.music import subspaces
+from repro.core.music import MusicConfig, mdl_signal_dimension
 from repro.core.peaks import SpectrumPeak, merge_close_peaks
 from repro.core.sanitize import sanitize_csi
 from repro.core.smoothing import SmoothingConfig
@@ -221,6 +234,36 @@ def reference_find_peaks_2d(
     ]
 
 
+def reference_subspaces(
+    cov: np.ndarray, config: MusicConfig = MusicConfig(), num_snapshots: int = 0
+) -> Tuple[np.ndarray, np.ndarray, int]:
+    """``(E_S, E_N, num_signals)`` of one covariance, one ``eigh`` per call."""
+    r = np.asarray(cov, dtype=np.complex128)
+    if r.ndim != 2 or r.shape[0] != r.shape[1]:
+        raise EstimationError(f"covariance must be square, got shape {r.shape}")
+    if config.forward_backward:
+        flipped = r[::-1, ::-1].conj()
+        r = r + flipped
+        r /= 2.0
+    sym = r + r.conj().T
+    sym /= 2.0
+    eigenvalues, eigenvectors = np.linalg.eigh(sym)
+    eigenvalues = eigenvalues[::-1]
+    eigenvectors = eigenvectors[:, ::-1]
+    lam_max = float(eigenvalues[0])
+    if lam_max <= 0:
+        raise EstimationError("covariance has no positive eigenvalues (zero CSI?)")
+    if config.use_mdl:
+        snapshots = num_snapshots if num_snapshots > 0 else r.shape[0]
+        num_signals = mdl_signal_dimension(eigenvalues, snapshots)
+    else:
+        num_signals = int(
+            np.count_nonzero(eigenvalues > config.eigenvalue_threshold_ratio * lam_max)
+        )
+    num_signals = min(max(num_signals, 1), config.max_paths, r.shape[0] - 1)
+    return eigenvectors[:, :num_signals], eigenvectors[:, num_signals:], num_signals
+
+
 def reference_packet_spectrum(
     estimator: JointEstimator, csi: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -235,7 +278,7 @@ def reference_packet_spectrum(
     if estimator.sanitize:
         csi = reference_sanitize_csi(csi)
     x = reference_smooth_csi(csi, estimator.smoothing)
-    e_signal, e_noise, _ = subspaces(
+    e_signal, e_noise, _ = reference_subspaces(
         x @ x.conj().T, estimator.music, num_snapshots=x.shape[1]
     )
     grids = default_steering_cache().grids_for(estimator.subarray_model, estimator.music)
@@ -314,33 +357,38 @@ def reference_esprit_packet(
 ) -> List[PathEstimate]:
     """One packet's ESPRIT path estimates, strongest first.
 
-    Threshold model order only (no MDL); raises the packet's
-    :class:`EstimationError` on a degenerate covariance.
+    Raises the packet's :class:`EstimationError` (a degenerate covariance
+    or a defective ToF operator).
     """
     csi = validate_csi_matrix(csi)
     if estimator.sanitize:
         csi = reference_sanitize_csi(csi)
     x = reference_smooth_csi(csi, estimator.smoothing)
-    r = x @ x.conj().T
-    if estimator.music.forward_backward:
-        r = (r + r[::-1, ::-1].conj()) / 2.0
-    eigenvalues, eigenvectors = np.linalg.eigh((r + r.conj().T) / 2.0)
-    eigenvalues = eigenvalues[::-1]
-    eigenvectors = eigenvectors[:, ::-1]
-    if eigenvalues[0] <= 0:
-        raise EstimationError("covariance has no positive eigenvalues (zero CSI?)")
-    num_paths = int(
-        np.sum(eigenvalues > estimator.music.eigenvalue_threshold_ratio * eigenvalues[0])
+    e_signal, _, _ = reference_subspaces(
+        x @ x.conj().T, estimator.music, num_snapshots=x.shape[1]
     )
+    return reference_esprit_paths(estimator, csi, e_signal, packet_index)
+
+
+def reference_esprit_paths(
+    estimator: EspritEstimator,
+    csi: np.ndarray,
+    e_signal: np.ndarray,
+    packet_index: int = 0,
+) -> List[PathEstimate]:
+    """One packet's ESPRIT paths from its sanitized CSI and signal subspace."""
     tau_j1, tau_j2, theta_j1, theta_j2 = _selection_indices(
         estimator.smoothing.sub_antennas, estimator.smoothing.sub_subcarriers
     )
-    limit = min(estimator.music.max_paths, len(tau_j1) - 1, len(theta_j1) - 1)
-    e_signal = eigenvectors[:, : int(np.clip(num_paths, 1, limit))]
+    e_signal = e_signal[:, : min(len(tau_j1), len(theta_j1)) - 1]
     f_tau = np.linalg.lstsq(e_signal[tau_j1], e_signal[tau_j2], rcond=None)[0]
     f_theta = np.linalg.lstsq(e_signal[theta_j1], e_signal[theta_j2], rcond=None)[0]
     tau_eigs, t = np.linalg.eig(f_tau)
-    theta_eigs = np.diag(np.linalg.inv(t) @ f_theta @ t)
+    try:
+        t_inv = np.linalg.inv(t)
+    except np.linalg.LinAlgError:
+        raise EstimationError("ESPRIT pairing failed: defective ToF operator")
+    theta_eigs = np.diag(t_inv @ f_theta @ t)
     sub = estimator.subarray_model
     paths = []
     for omega, phi in zip(tau_eigs, theta_eigs):
@@ -983,5 +1031,73 @@ def reference_tof_estimate(estimator, array: UniformLinearArray, trace: CsiTrace
         array=array,
         paths=(path,),
         confidence=confidence,
+        rssi_dbm=used.median_rssi_dbm(),
+    )
+
+
+def reference_music_aoa_spectrum(est, csi: np.ndarray) -> np.ndarray:
+    """Test oracle: antenna-only MUSIC with an inline covariance and split.
+
+    Forward-backward averaging is the exchange-matrix product
+    ``(R + J R* J) / 2`` and the eigen-split is written out, so the
+    shared :func:`~repro.core.music.subspaces` path can be pinned bit
+    for bit.
+    """
+    csi = np.asarray(csi, dtype=np.complex128)
+    if est.sanitize:
+        csi = sanitize_csi(csi)
+    m = csi.shape[0]
+    sub = est.config.spatial_smoothing_subarray
+    if sub:
+        csi = np.concatenate([csi[i : i + sub, :] for i in range(m - sub + 1)], axis=1)
+        m = sub
+    cov = csi @ csi.conj().T
+    if est.config.forward_backward:
+        exchange = np.eye(m)[::-1]
+        cov = (cov + exchange @ cov.conj() @ exchange) / 2.0
+    eigenvalues, eigenvectors = np.linalg.eigh((cov + cov.conj().T) / 2.0)
+    eigenvalues = eigenvalues[::-1]
+    eigenvectors = eigenvectors[:, ::-1]
+    num_signals = int(
+        np.sum(eigenvalues > est.config.eigenvalue_threshold_ratio * eigenvalues[0])
+    )
+    e_noise = eigenvectors[:, int(np.clip(num_signals, 1, m - 1)) :]
+    steering = est.model.subarray_model(m, 1).antenna_vector(est.config.aoa_grid())
+    proj = steering.conj() @ e_noise
+    return 1.0 / np.maximum(np.sum(np.abs(proj) ** 2, axis=1) / m, 1e-18)
+
+
+def reference_mdtrack_estimate(
+    estimator, array: UniformLinearArray, trace: CsiTrace
+) -> ApEstimate:
+    """Test oracle: the mdtrack tier with an inline front end and path list."""
+    config = estimator.context.config
+    used = trace[: config.packets_per_fix]
+    model = estimator._model_for(array)
+    estimates = []
+    for index, frame in enumerate(used):
+        csi = sanitize_csi(frame.csi) if config.sanitize else frame.csi
+        estimates.extend(estimator._packet_paths(model, csi, index))
+    clusters = cluster_estimates(
+        estimates,
+        num_clusters=config.num_clusters,
+        method="kmeans",
+        rng=np.random.default_rng(estimator.context.seed),
+        min_cluster_size=max(
+            config.min_cluster_size,
+            int(np.ceil(config.min_cluster_fraction * len(used))),
+        ),
+    )
+    direct = select_direct_path(clusters, config.likelihood)
+    paths = [EstimatedPath(direct.aoa_deg, direct.tof_s, direct.likelihood)]
+    for cluster, likelihood in zip(direct.all_clusters, direct.all_likelihoods):
+        if cluster is not direct.cluster:
+            paths.append(
+                EstimatedPath(cluster.mean_aoa_deg, cluster.mean_tof_s, likelihood)
+            )
+    return ApEstimate(
+        array=array,
+        paths=tuple(paths),
+        confidence=float(direct.likelihood),
         rssi_dbm=used.median_rssi_dbm(),
     )
