@@ -9,13 +9,12 @@ likelihood — so they fuse through the AoA-restricted Eq. 9 solve
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from repro.baselines.arraytrack import ArrayTrack
 from repro.baselines.music_aoa import MusicAoaEstimator
-from repro.core.steering import SteeringModel
 from repro.errors import EstimationError
 from repro.estimators.base import (
     ApEstimate,
@@ -34,25 +33,10 @@ class MusicAoaAdapter(Estimator):
 
     use_rssi = False
 
-    def __init__(self, context: EstimatorContext) -> None:
-        super().__init__(context)
-        self._estimators: Dict[Tuple[int, float], MusicAoaEstimator] = {}
-
-    def _estimator_for(self, array: UniformLinearArray) -> MusicAoaEstimator:
-        key = (array.num_antennas, array.spacing_m)
-        if key not in self._estimators:
-            model = SteeringModel.for_grid(
-                self.context.grid,
-                num_antennas=array.num_antennas,
-                antenna_spacing_m=array.spacing_m,
-            )
-            self._estimators[key] = MusicAoaEstimator(model=model)
-        return self._estimators[key]
-
     def estimate_ap(self, array: UniformLinearArray, trace: CsiTrace) -> ApEstimate:
         used = trace[: self.context.config.packets_per_fix]
         rssi = used.median_rssi_dbm()
-        estimator = self._estimator_for(array)
+        estimator = self._for_geometry(array, MusicAoaEstimator)
         aoas = []
         failure: Optional[EstimationError] = None
         for peaks in estimator.estimate_stack([frame.csi for frame in used]):

@@ -9,25 +9,25 @@ subtract the reconstructed path from the residual.  Iteration stops
 when the next path falls a configured ratio below the strongest one or
 the path budget is exhausted.
 
-Per-packet paths are pooled across the burst, clustered with k-means
-(cheap, deterministic given the context seed), and the direct path is
-selected with the same Eq. 8 likelihood as the classic pipeline — so
-the output plugs straight into Eq. 9 fusion.
+Per-packet paths are pooled across the burst and handed to the
+pipeline's one report builder (:func:`~repro.core.pipeline.build_ap_report`)
+with k-means on a fresh ``default_rng(context.seed)`` per AP (cheap, and
+the same on any executor): the same cluster-size floor and Eq. 8
+direct-path selection as SpotFi's own kernels, so the output plugs
+straight into Eq. 9 fusion.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List
 
 import numpy as np
 
-from repro.core.clustering import cluster_estimates
-from repro.core.direct_path import select_direct_path
 from repro.core.estimator import PathEstimate, prepare_csi_all
-from repro.core.pipeline import ApReport
+from repro.core.pipeline import build_ap_report
 from repro.core.steering import SteeringModel
 from repro.errors import EstimationError
-from repro.estimators.base import ApEstimate, Estimator, EstimatorContext, from_report
+from repro.estimators.base import ApEstimate, Estimator, from_report
 from repro.estimators.registry import register
 from repro.wifi.arrays import UniformLinearArray
 from repro.wifi.csi import CsiTrace
@@ -68,21 +68,8 @@ class MdTrackEstimator(Estimator):
     #: Alternating 1-D refinement rounds per path.
     refine_rounds: int = 2
 
-    def __init__(self, context: EstimatorContext) -> None:
-        super().__init__(context)
-        self._models: Dict[Tuple[int, float], _ArrayModel] = {}
-
     def _model_for(self, array: UniformLinearArray) -> _ArrayModel:
-        key = (array.num_antennas, array.spacing_m)
-        if key not in self._models:
-            self._models[key] = _ArrayModel(
-                SteeringModel.for_grid(
-                    self.context.grid,
-                    num_antennas=array.num_antennas,
-                    antenna_spacing_m=array.spacing_m,
-                )
-            )
-        return self._models[key]
+        return self._for_geometry(array, _ArrayModel)
 
     # ------------------------------------------------------------------
     def _packet_paths(
@@ -129,7 +116,6 @@ class MdTrackEstimator(Estimator):
     def estimate_ap(self, array: UniformLinearArray, trace: CsiTrace) -> ApEstimate:
         config = self.context.config
         used = trace[: config.packets_per_fix]
-        rssi = used.median_rssi_dbm()
         model = self._model_for(array)
         stack = prepare_csi_all(
             [frame.csi for frame in used], model.model, config.sanitize
@@ -137,21 +123,7 @@ class MdTrackEstimator(Estimator):
         estimates: List[PathEstimate] = []
         for index, csi in enumerate(stack):
             estimates.extend(self._packet_paths(model, csi, index))
-        min_size = max(
-            config.min_cluster_size,
-            int(np.ceil(config.min_cluster_fraction * len(used))),
-        )
-        clusters = cluster_estimates(
-            estimates,
-            num_clusters=config.num_clusters,
-            method="kmeans",
-            rng=np.random.default_rng(self.context.seed),
-            min_cluster_size=min_size,
-        )
+        rng = np.random.default_rng(self.context.seed)
         return from_report(
-            ApReport(
-                array=array,
-                direct=select_direct_path(clusters, config.likelihood),
-                rssi_dbm=rssi,
-            )
+            build_ap_report(config, array, used, estimates, rng, method="kmeans")
         )

@@ -15,21 +15,18 @@ rough fix that keeps serving when breakers force a downgrade.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from dataclasses import replace
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from repro.core.estimator import prepare_csi_all
-from repro.core.localization import ApObservation, LocalizationResult, Localizer
+from repro.core.localization import ApObservation, LocalizationResult
+from repro.core.pipeline import localizer_for
 from repro.core.peaks import interior_maxima
 from repro.core.steering import SteeringModel
 from repro.errors import EstimationError
-from repro.estimators.base import (
-    ApEstimate,
-    EstimatedPath,
-    Estimator,
-    EstimatorContext,
-)
+from repro.estimators.base import ApEstimate, EstimatedPath, Estimator
 from repro.estimators.registry import register
 from repro.wifi.arrays import UniformLinearArray
 from repro.wifi.csi import CsiTrace
@@ -45,27 +42,10 @@ _PEAK_WINDOW_DB = 10.0
 class TofEstimator(Estimator):
     """Earliest-strong-peak delay estimation with RSSI-only fusion."""
 
-    def __init__(self, context: EstimatorContext) -> None:
-        super().__init__(context)
-        self._models: Dict[Tuple[int, float], Tuple[SteeringModel, np.ndarray, np.ndarray]] = {}
-        self._localizer: Optional[Localizer] = None
-
     def _model_for(
         self, array: UniformLinearArray
     ) -> Tuple[SteeringModel, np.ndarray, np.ndarray]:
-        key = (array.num_antennas, array.spacing_m)
-        if key not in self._models:
-            model = SteeringModel.for_grid(
-                self.context.grid,
-                num_antennas=array.num_antennas,
-                antenna_spacing_m=array.spacing_m,
-            )
-            tof_grid = np.linspace(
-                0.0, model.tof_ambiguity_s, _NUM_TOF_BINS, endpoint=False
-            )
-            conj_o = model.subcarrier_vector(tof_grid).conj()  # (Gt, N)
-            self._models[key] = (model, tof_grid, conj_o)
-        return self._models[key]
+        return self._for_geometry(array, _delay_dictionary)
 
     def estimate_ap(self, array: UniformLinearArray, trace: CsiTrace) -> ApEstimate:
         config = self.context.config
@@ -99,23 +79,23 @@ class TofEstimator(Estimator):
     def fuse(self, estimates: Sequence[ApEstimate]) -> LocalizationResult:
         """RSSI-only Eq. 9: the AoA term is zeroed (no angle measured)."""
         observations = [
-            ApObservation(
-                array=e.array,
-                aoa_deg=0.0,
-                rssi_dbm=e.rssi_dbm,
-                likelihood=e.confidence,
-            )
-            for e in estimates
+            ApObservation(e.array, 0.0, e.rssi_dbm, e.confidence) for e in estimates
         ]
-        if self._localizer is None:
-            self._localizer = Localizer(
-                bounds=self.context.bounds,
-                grid_step_m=self.context.config.grid_step_m,
-                aoa_weight=0.0,
-                rssi_weight=1.0,
-                use_likelihood_weights=False,
-            )
-        return self._localizer.locate(observations)
+        config = replace(
+            self.context.config,
+            aoa_weight=0.0,
+            rssi_weight=1.0,
+            use_likelihood_weights=False,
+        )
+        return localizer_for(config, self.context.bounds).locate(observations)
+
+
+def _delay_dictionary(
+    model: SteeringModel,
+) -> Tuple[SteeringModel, np.ndarray, np.ndarray]:
+    """``model``, its delay grid and the conjugate (Gt, N) delay steering."""
+    tof_grid = np.linspace(0.0, model.tof_ambiguity_s, _NUM_TOF_BINS, endpoint=False)
+    return model, tof_grid, model.subcarrier_vector(tof_grid).conj()
 
 
 def delay_spectrum(stack: np.ndarray, conj_o: np.ndarray) -> np.ndarray:

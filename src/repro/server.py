@@ -68,7 +68,8 @@ class FixEvent:
         APs contributing to this burst.
     estimator:
         Registry name of the estimator that produced (or failed) this
-        fix; empty when the server ran its pipeline default.
+        fix (the pipeline's own, ``music2d`` or ``esprit``, when the
+        request named none).
     downgraded:
         True when the fix was served on the breaker downgrade tier
         instead of the requested estimator.
@@ -144,7 +145,7 @@ class SpotFiServer:
         admitting a half-open probe.
     estimator:
         Default estimator (registry name or QoS tier) for every fix;
-        empty runs the pipeline's configured classic path.  Per-request
+        empty runs the pipeline's own kernel.  Per-request
         ``estimator=`` arguments to :meth:`ingest`/:meth:`flush`
         override it.
     downgrade_tier:
@@ -202,12 +203,9 @@ class SpotFiServer:
             raise ConfigurationError("breaker_threshold must be >= 0")
         if self.breaker_recovery_s < 0:
             raise ConfigurationError("breaker_recovery_s must be >= 0")
-        if self.estimator or self.downgrade_tier:
-            # Fail at construction on a typo'd name, not at the first fix.
-            if self.estimator:
-                resolve_name(self.estimator)
-            if self.downgrade_tier:
-                resolve_name(self.downgrade_tier)
+        # Fail at construction on a typo'd name, not at the first fix.
+        for name in filter(None, (self.estimator, self.downgrade_tier)):
+            resolve_name(name)
         if self.metrics is None:
             self.metrics = RuntimeMetrics()
         # Fold the validator's and injector's counters into the server's
@@ -366,7 +364,7 @@ class SpotFiServer:
         ]
         fix: Optional[SpotFiFix]
         degraded: Tuple[Tuple[int, str], ...] = ()
-        resolved = self._resolve_estimator(requested)
+        resolved = self.spotfi.estimator_named(requested).name
         start = time.perf_counter()
         with self.spotfi.tracer.span(
             "fix", source=source, num_aps=len(ready), estimator=resolved
@@ -381,7 +379,7 @@ class SpotFiServer:
                 # on the cheap tier (e.g. RSSI ranging still works when
                 # every AoA estimate degraded).
                 downgraded = True
-                resolved = self._resolve_estimator(self.downgrade_tier)
+                resolved = self.spotfi.estimator_named(self.downgrade_tier).name
                 self.metrics.increment("breaker.downgrades")
                 span.set("retried", True)
                 try:
@@ -397,7 +395,8 @@ class SpotFiServer:
                 span.set("breakers", self.breaker_states())
         self.metrics.record_complete("fix", time.perf_counter() - start)
         self.metrics.increment("fix.ok" if fix is not None else "fix.failed")
-        self.metrics.increment(self._estimator_counter(resolved))
+        # Rendered as ``repro_estimator_requests_total``.
+        self.metrics.increment(f"estimator.requests.{resolved}.{tier_of(resolved)}")
         if downgraded:
             self.metrics.increment("fix.downgraded")
         if fix is not None and fix.degraded:
@@ -436,19 +435,6 @@ class SpotFiServer:
                 del self._buffers[key]
                 self._last_seen.pop(key, None)
         return event
-
-    # ------------------------------------------------------------------
-    # Estimator selection
-    # ------------------------------------------------------------------
-    def _resolve_estimator(self, requested: Optional[str]) -> str:
-        """Registry name a request resolves to (tiers -> tier default)."""
-        if requested is None:
-            return self.spotfi.default_estimator_name()
-        return resolve_name(requested)
-
-    def _estimator_counter(self, name: str) -> str:
-        """Counter key rendered as ``repro_estimator_requests_total``."""
-        return f"estimator.requests.{name}.{tier_of(name)}"
 
     # ------------------------------------------------------------------
     # Circuit breakers

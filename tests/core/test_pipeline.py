@@ -254,3 +254,60 @@ class TestRegistrySpans:
             "mean_abs_aoa_residual_deg",
         }
         assert registry_root.attributes["degraded_aps"] == list(fix.degraded_aps)
+
+
+#: (registry name, its kernel, the other kernel): the name selected on a
+#: pipeline configured for the other kernel.
+BY_NAME = [("esprit", "esprit", "music"), ("music2d", "music", "esprit")]
+
+
+@pytest.mark.parametrize("name, own, other", BY_NAME)
+class TestKernelByName:
+    """SpotFi's own kernels named through the registry take the default path."""
+
+    def test_fix_equals_config_default(self, testbed, one_failing_ap, name, own, other):
+        sim, pairs = one_failing_ap
+        by_name = make_spotfi(testbed, sim, other).locate(pairs, estimator=name)
+        default = make_spotfi(testbed, sim, own).locate(pairs)
+        assert by_name.estimator == default.estimator == name
+        assert by_name.position == default.position
+        assert by_name.reports == default.reports
+        assert all(r.estimates for r in by_name.reports if r.usable)
+
+    def test_generator_advances_across_fixes(self, testbed, one_failing_ap, name, own, other):
+        sim, pairs = one_failing_ap
+        by_name = make_spotfi(testbed, sim, other)
+        default = make_spotfi(testbed, sim, own)
+        for _ in range(2):
+            assert by_name.locate(pairs, estimator=name).reports == default.locate(
+                pairs
+            ).reports
+
+    def test_zero_csi_packet_counted_once(self, testbed, one_failing_ap, name, own, other):
+        sim, pairs = one_failing_ap
+        pairs = [pair for k, pair in enumerate(pairs) if k != FAILING_AP]
+        array, trace = pairs[0]
+        frames = list(trace)
+        frames[1] = CsiFrame(csi=np.zeros_like(frames[1].csi), rssi_dbm=-60.0)
+        executor = SerialExecutor()
+        spotfi = make_spotfi(testbed, sim, other, executor=executor)
+        spotfi.locate([(array, CsiTrace(frames))] + pairs[1:], estimator=name)
+        assert executor.metrics.counter("estimate.errors.EstimationError") == 1
+        assert executor.metrics.counter("estimate.submitted") == len(pairs)
+
+    def test_traced_aps_have_kernel_and_cluster_spans(
+        self, testbed, one_failing_ap, name, own, other
+    ):
+        sim, pairs = one_failing_ap
+        tracer = Tracer()
+        make_spotfi(testbed, sim, other, tracer=tracer).locate(pairs, estimator=name)
+        (root,) = tracer.finished_spans()
+        assert root.attributes["estimator"] == name
+        stages = ["esprit"] if own == "esprit" else ["sanitize", "smooth", "music"]
+        aps = [child for child in root.children if child.name.startswith("ap[")]
+        assert [ap.name for ap in aps] == [f"ap[{k}]" for k in range(len(pairs))]
+        for k, ap in enumerate(aps):
+            children = [child.name for child in ap.children]
+            expected = stages if k == FAILING_AP else stages + ["cluster"]
+            assert children == expected
+        assert root.children[-1].name == "solve"
